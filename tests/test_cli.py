@@ -1,10 +1,12 @@
 """Command line behavior: formats, flags, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from lotkalaw import dump_distribution, dump_records, exact_distribution
+from lotkalaw import dump_distribution, dump_records, exact_distribution, parse_records
 from lotkalaw.cli import main
 
 from conftest import DATA_DIR, build_mixed_records, build_pattern_records
@@ -353,3 +355,326 @@ def test_explicit_input_kind_overrides_sniffing(capsys, tmp_path):
                        "--input-kind", "pipe", "--counting", "straight")
     assert code == 0
     assert out == "x,y\n2,1\n"  # author A first-authored both records
+
+
+# ---------------------------------------------------------------------------
+# golden output: byte-identical stdout and plot files on the bundled inputs
+
+
+def _golden_inputs() -> dict[str, bytes]:
+    sample = (DATA_DIR / "sample_records.psv").read_bytes()
+    return {
+        "cad.csv": (DATA_DIR / "cad_productivity.csv").read_bytes(),
+        "sample.psv": sample,
+        "sample.jsonl": dump_records(parse_records(sample)).encode("utf-8"),
+    }
+
+
+def _golden_cases() -> list[tuple[str, ...]]:
+    """Complete counting fits n < 1 on the sample records (exit 3), so their
+    K-S matrix runs on straight counts; on a table the flag changes nothing."""
+    records = ("sample.psv", "sample.jsonl")
+    extras = ((), ("--truncate-x", "4"), ("--c-digits", "full", "--c-method", "sum:1000"))
+    countings = ((), ("--counting", "straight"))
+    cases = []
+    for name in ("cad.csv", *records):
+        inp = ("--input", name)
+        counted = ("--counting", "straight") if name in records else ()
+        cases += [("ingest", *inp), ("ingest", *inp, "--format", "json")]
+        if name in records:
+            cases.append(("ingest", *inp, "--counting", "straight"))
+            cases += [("pattern", *inp), ("pattern", *inp, "--format", "json"),
+                      ("pattern", *inp, "--period", "3", "--origin", "1990")]
+        for counting in countings:
+            cases.append(("fit", *inp, *counting, "--format", "json"))
+            cases += [("fit", *inp, *counting, *extra) for extra in extras]
+            cases += [("ks", *inp, "--preset", "alpha05", *counting, *extra)
+                      for extra in extras[1:]]
+            report = ("report", *inp, "--preset", "paper", "--plot-out", "plot.csv", *counting)
+            cases += [(*report, *extra) for extra in extras]
+        for variant in ("standard", "pointwise", "both"):
+            for dense in ((), ("--dense-expected",)):
+                for fmt in ("csv", "json"):
+                    cases.append(("ks", *inp, *counted, "--preset", "paper",
+                                  "--ks-variant", variant, *dense, "--format", fmt))
+        cases.append(("report", *inp, *counted, "--preset", "paper", "--plot-out", "plot.csv",
+                      "--ks-variant", "standard", "--dense-expected"))
+    return cases
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _golden_digest(capsys, argv: tuple[str, ...]) -> tuple[str, str | None]:
+    """("<exit code> <stdout SHA-256>", plot file SHA-256 or None), run in the inputs' dir."""
+    plot = Path("plot.csv")
+    plot.unlink(missing_ok=True)
+    code = main(list(argv))
+    out = capsys.readouterr().out.encode("utf-8")
+    return f"{code} {_sha(out)}", _sha(plot.read_bytes()) if plot.exists() else None
+
+
+# (exit code, stdout SHA-256) per invocation, captured before the K-S and
+# distribution refactor; every later change must reproduce them byte for byte.
+GOLDEN_STDOUT = {
+    "ingest --input cad.csv":
+        "0 32bdc1da3cd5033342be520d7627c0365b02f97999862296f23557b34d362a05",
+    "ingest --input cad.csv --format json":
+        "0 ed75d4ed78cc291fd45018d548dba5f9483c8613c57c12126c1aa07195bdd4f1",
+    "fit --input cad.csv --format json":
+        "0 c04512a00264d5350c7bca9ddbbdd84957dce9b483d2c569112e64f39cc492ba",
+    "fit --input cad.csv":
+        "0 fcc6fd6f64da9a9d86bc80b467df7bcb7d818e143b22f1f038c0c0bf4d8c6554",
+    "fit --input cad.csv --truncate-x 4":
+        "0 352c130c1fce662392532e7307c4a28fc115aa15b992854fdb88d90d64324b3a",
+    "fit --input cad.csv --c-digits full --c-method sum:1000":
+        "0 04167ccc711a18ce384f5e5f6902ec84aabe8a3db824a22c417a5ade7ddc4296",
+    "ks --input cad.csv --preset alpha05 --truncate-x 4":
+        "0 fddbe02dca7be5eedb1ee4a2f9701149736c36ea8711c817e7cf0e1f17f9d68b",
+    "ks --input cad.csv --preset alpha05 --c-digits full --c-method sum:1000":
+        "0 e92ef842013a890cea92cbafaf871c290c86ba6052d4ace94ab334a284357c2a",
+    "report --input cad.csv --preset paper --plot-out plot.csv":
+        "0 7208ea32beaab7298ee67caa252a0c9a72b1834cb0b392a37918f43191cf3e56",
+    "report --input cad.csv --preset paper --plot-out plot.csv --truncate-x 4":
+        "0 eb594fa3d9578690dd1a728d35bcedd5b13d5f066e956b72265fddf862fd5554",
+    "report --input cad.csv --preset paper --plot-out plot.csv --c-digits full --c-method sum:1000":
+        "0 148874b1b487acccafd28ed76260162edd81df96ca39388f8976e538f498d4cf",
+    "fit --input cad.csv --counting straight --format json":
+        "0 c04512a00264d5350c7bca9ddbbdd84957dce9b483d2c569112e64f39cc492ba",
+    "fit --input cad.csv --counting straight":
+        "0 fcc6fd6f64da9a9d86bc80b467df7bcb7d818e143b22f1f038c0c0bf4d8c6554",
+    "fit --input cad.csv --counting straight --truncate-x 4":
+        "0 352c130c1fce662392532e7307c4a28fc115aa15b992854fdb88d90d64324b3a",
+    "fit --input cad.csv --counting straight --c-digits full --c-method sum:1000":
+        "0 04167ccc711a18ce384f5e5f6902ec84aabe8a3db824a22c417a5ade7ddc4296",
+    "ks --input cad.csv --preset alpha05 --counting straight --truncate-x 4":
+        "0 fddbe02dca7be5eedb1ee4a2f9701149736c36ea8711c817e7cf0e1f17f9d68b",
+    "ks --input cad.csv --preset alpha05 --counting straight --c-digits full --c-method sum:1000":
+        "0 e92ef842013a890cea92cbafaf871c290c86ba6052d4ace94ab334a284357c2a",
+    "report --input cad.csv --preset paper --plot-out plot.csv --counting straight":
+        "0 e39fe265fc1a98603e142a14bdaa8405a1dfe7e3c9393b5164e99cb4d0e65f47",
+    "report --input cad.csv --preset paper --plot-out plot.csv --counting straight --truncate-x 4":
+        "0 f25c5b5f736a0f8b1d535b28a54d32162061bc2237554992f92b0b6041b804ab",
+    "report --input cad.csv --preset paper --plot-out plot.csv --counting straight --c-digits full --c-method sum:1000":
+        "0 17f39576ce0a266c98793856b3596b24cf337ddb0c563d459fb0b681fa795ab5",
+    "ks --input cad.csv --preset paper --ks-variant standard --format csv":
+        "0 f37bad93f619fc42c02eb664997a1f4a408b1461e8ff2f43a865469a5f9ef7fe",
+    "ks --input cad.csv --preset paper --ks-variant standard --format json":
+        "0 56ef379352befca87a55a3ab03abbd0dd17c368f5760d6bd9c921bb7a989369e",
+    "ks --input cad.csv --preset paper --ks-variant standard --dense-expected --format csv":
+        "0 a9006741daf3d6162fea31d89918e2224245870e2a71f6cacee77105a9cd4c1a",
+    "ks --input cad.csv --preset paper --ks-variant standard --dense-expected --format json":
+        "0 b3a348797bd1a85b3fada5f7146ff0ff4c46cd0469fe7150eebb603007f9b43b",
+    "ks --input cad.csv --preset paper --ks-variant pointwise --format csv":
+        "0 8931c8cda7f484fc4fc7f3f1d88674c8c23c09040aefb284a3d8126b6f877629",
+    "ks --input cad.csv --preset paper --ks-variant pointwise --format json":
+        "0 2080c4fac6dd7c0642ee5befc4c32d18a1fa8dea1dd951f0a42c8c49b7d23e2d",
+    "ks --input cad.csv --preset paper --ks-variant pointwise --dense-expected --format csv":
+        "0 150e4253c849e764e2028e061c6471b31e3d09d9d260a3c1c94ce9384a830cf4",
+    "ks --input cad.csv --preset paper --ks-variant pointwise --dense-expected --format json":
+        "0 8cf90705c45469c27d78e1dd02d5349c0126e70c87dcd1d6f332e992c90a4368",
+    "ks --input cad.csv --preset paper --ks-variant both --format csv":
+        "0 0b6e39a67faaf0bbf837500eb47bf73dce54abba2802f74dff1290b6cad69f5d",
+    "ks --input cad.csv --preset paper --ks-variant both --format json":
+        "0 7e5dc10950c350ad143847a457b03e569e81defac329719b0ea930412ad83d18",
+    "ks --input cad.csv --preset paper --ks-variant both --dense-expected --format csv":
+        "0 43a2e3c2db1fe3e9a123e62c0250952ff303631b6ff50211be845c43f113cf8c",
+    "ks --input cad.csv --preset paper --ks-variant both --dense-expected --format json":
+        "0 f488f4da75cd212508af48b5bbdf1cacdbf0459ceeac67a7f5b205877b9aca9a",
+    "report --input cad.csv --preset paper --plot-out plot.csv --ks-variant standard --dense-expected":
+        "0 9a829475250bf4a953d915c6939bcdcf8f5e873d16eb332896131f10b469dba0",
+    "ingest --input sample.psv":
+        "0 43a852c4f0ae841f4c3ff28ece3d4f65ddf2a33b1a4f21809dc39423723ba94c",
+    "ingest --input sample.psv --format json":
+        "0 d774a30d34b1e400f519a9cf0e3ac350f23309c06846b0c2e8da89ba6e44d303",
+    "ingest --input sample.psv --counting straight":
+        "0 783418e25df34cd300af62d86513747202ff244c700a5e02278bf55536b51720",
+    "pattern --input sample.psv":
+        "0 6b15e0d31b47de74432071cb30ea88d95b9800f963e4f7663701a326cdfdd4aa",
+    "pattern --input sample.psv --format json":
+        "0 1454cb36156bd4ab3e331e5c098110e8a6b7a763b07946a354a4dc1f7604c52f",
+    "pattern --input sample.psv --period 3 --origin 1990":
+        "0 e962c3663ff412f205b861a540786151923fcad62496cd07916eb88f0cfc2483",
+    "fit --input sample.psv --format json":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fit --input sample.psv":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fit --input sample.psv --truncate-x 4":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fit --input sample.psv --c-digits full --c-method sum:1000":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "ks --input sample.psv --preset alpha05 --truncate-x 4":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "ks --input sample.psv --preset alpha05 --c-digits full --c-method sum:1000":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "report --input sample.psv --preset paper --plot-out plot.csv":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "report --input sample.psv --preset paper --plot-out plot.csv --truncate-x 4":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "report --input sample.psv --preset paper --plot-out plot.csv --c-digits full --c-method sum:1000":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fit --input sample.psv --counting straight --format json":
+        "0 39633746061c9aed4335963312b2734d43a6e67277648db46f2216a7a83d505d",
+    "fit --input sample.psv --counting straight":
+        "0 28bcb1735bac291efa5ea31645f2549905d406b1ff2ca1ab8ba33bcc242f7d3f",
+    "fit --input sample.psv --counting straight --truncate-x 4":
+        "0 28bcb1735bac291efa5ea31645f2549905d406b1ff2ca1ab8ba33bcc242f7d3f",
+    "fit --input sample.psv --counting straight --c-digits full --c-method sum:1000":
+        "0 a26965714b513457dd5a4631bdbbbb1d9744146bc23fd4200af331ca6021795c",
+    "ks --input sample.psv --preset alpha05 --counting straight --truncate-x 4":
+        "0 5353d6e354e9091eb760232221ac4848759c5c9fb704c87661eaaf902b3eb74e",
+    "ks --input sample.psv --preset alpha05 --counting straight --c-digits full --c-method sum:1000":
+        "0 2fc2cde15a02d60e8bcddc2b42b9b7d2e1af31a3bdeacfb07cace77d872f6e23",
+    "report --input sample.psv --preset paper --plot-out plot.csv --counting straight":
+        "0 940b0cf0243e94473ed68a6dde34ff8b4b1d686e3efed590b851eaf499a96684",
+    "report --input sample.psv --preset paper --plot-out plot.csv --counting straight --truncate-x 4":
+        "0 940b0cf0243e94473ed68a6dde34ff8b4b1d686e3efed590b851eaf499a96684",
+    "report --input sample.psv --preset paper --plot-out plot.csv --counting straight --c-digits full --c-method sum:1000":
+        "0 c2a68c176dd13f18c70a362b182de2dd145728ebd358252a928e5c855c98a3dc",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant standard --format csv":
+        "0 84f296ae875081f2d5fcccfe5f4d171a0e5068165770b399a6e9e5f7a83b82ac",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant standard --format json":
+        "0 13d211e4695fcfdb456da0e483afbce673b6c1b351cc7eb5814726d0611c699f",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant standard --dense-expected --format csv":
+        "0 84f296ae875081f2d5fcccfe5f4d171a0e5068165770b399a6e9e5f7a83b82ac",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant standard --dense-expected --format json":
+        "0 13d211e4695fcfdb456da0e483afbce673b6c1b351cc7eb5814726d0611c699f",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant pointwise --format csv":
+        "0 9c52b718ad9a0ee67b7d4c41c936c0685e660cf55edc1342ece26f17d162a1c8",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant pointwise --format json":
+        "0 c045da3cf2864f6a8e1ff761d2c97b00618752524507b8ff07dbccb9fa51bd57",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant pointwise --dense-expected --format csv":
+        "0 9c52b718ad9a0ee67b7d4c41c936c0685e660cf55edc1342ece26f17d162a1c8",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant pointwise --dense-expected --format json":
+        "0 c045da3cf2864f6a8e1ff761d2c97b00618752524507b8ff07dbccb9fa51bd57",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant both --format csv":
+        "0 e7d46b066600399843334008e00709939af51e7b65e3da84052464fa25a1685e",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant both --format json":
+        "0 e2d7444175830a414bbe333875c361e5006fdd493523a2f1bc729b84240ca936",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant both --dense-expected --format csv":
+        "0 e7d46b066600399843334008e00709939af51e7b65e3da84052464fa25a1685e",
+    "ks --input sample.psv --counting straight --preset paper --ks-variant both --dense-expected --format json":
+        "0 e2d7444175830a414bbe333875c361e5006fdd493523a2f1bc729b84240ca936",
+    "report --input sample.psv --counting straight --preset paper --plot-out plot.csv --ks-variant standard --dense-expected":
+        "0 9c61925b49bae74dbfc5b3b26033eb2a3098f50419c669b598fa63df777ea702",
+    "ingest --input sample.jsonl":
+        "0 43a852c4f0ae841f4c3ff28ece3d4f65ddf2a33b1a4f21809dc39423723ba94c",
+    "ingest --input sample.jsonl --format json":
+        "0 d774a30d34b1e400f519a9cf0e3ac350f23309c06846b0c2e8da89ba6e44d303",
+    "ingest --input sample.jsonl --counting straight":
+        "0 783418e25df34cd300af62d86513747202ff244c700a5e02278bf55536b51720",
+    "pattern --input sample.jsonl":
+        "0 6b15e0d31b47de74432071cb30ea88d95b9800f963e4f7663701a326cdfdd4aa",
+    "pattern --input sample.jsonl --format json":
+        "0 1454cb36156bd4ab3e331e5c098110e8a6b7a763b07946a354a4dc1f7604c52f",
+    "pattern --input sample.jsonl --period 3 --origin 1990":
+        "0 e962c3663ff412f205b861a540786151923fcad62496cd07916eb88f0cfc2483",
+    "fit --input sample.jsonl --format json":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fit --input sample.jsonl":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fit --input sample.jsonl --truncate-x 4":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fit --input sample.jsonl --c-digits full --c-method sum:1000":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "ks --input sample.jsonl --preset alpha05 --truncate-x 4":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "ks --input sample.jsonl --preset alpha05 --c-digits full --c-method sum:1000":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "report --input sample.jsonl --preset paper --plot-out plot.csv":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "report --input sample.jsonl --preset paper --plot-out plot.csv --truncate-x 4":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "report --input sample.jsonl --preset paper --plot-out plot.csv --c-digits full --c-method sum:1000":
+        "3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fit --input sample.jsonl --counting straight --format json":
+        "0 39633746061c9aed4335963312b2734d43a6e67277648db46f2216a7a83d505d",
+    "fit --input sample.jsonl --counting straight":
+        "0 28bcb1735bac291efa5ea31645f2549905d406b1ff2ca1ab8ba33bcc242f7d3f",
+    "fit --input sample.jsonl --counting straight --truncate-x 4":
+        "0 28bcb1735bac291efa5ea31645f2549905d406b1ff2ca1ab8ba33bcc242f7d3f",
+    "fit --input sample.jsonl --counting straight --c-digits full --c-method sum:1000":
+        "0 a26965714b513457dd5a4631bdbbbb1d9744146bc23fd4200af331ca6021795c",
+    "ks --input sample.jsonl --preset alpha05 --counting straight --truncate-x 4":
+        "0 5353d6e354e9091eb760232221ac4848759c5c9fb704c87661eaaf902b3eb74e",
+    "ks --input sample.jsonl --preset alpha05 --counting straight --c-digits full --c-method sum:1000":
+        "0 2fc2cde15a02d60e8bcddc2b42b9b7d2e1af31a3bdeacfb07cace77d872f6e23",
+    "report --input sample.jsonl --preset paper --plot-out plot.csv --counting straight":
+        "0 1e60863ed7f1540d285760a4c07871f37de91a4c9bc0e9fea7ad2571b1ba41ca",
+    "report --input sample.jsonl --preset paper --plot-out plot.csv --counting straight --truncate-x 4":
+        "0 1e60863ed7f1540d285760a4c07871f37de91a4c9bc0e9fea7ad2571b1ba41ca",
+    "report --input sample.jsonl --preset paper --plot-out plot.csv --counting straight --c-digits full --c-method sum:1000":
+        "0 df1805f3b69d1e821e2d84f9f6535707134ea31e14a758469b1fe44b53a05474",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant standard --format csv":
+        "0 84f296ae875081f2d5fcccfe5f4d171a0e5068165770b399a6e9e5f7a83b82ac",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant standard --format json":
+        "0 13d211e4695fcfdb456da0e483afbce673b6c1b351cc7eb5814726d0611c699f",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant standard --dense-expected --format csv":
+        "0 84f296ae875081f2d5fcccfe5f4d171a0e5068165770b399a6e9e5f7a83b82ac",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant standard --dense-expected --format json":
+        "0 13d211e4695fcfdb456da0e483afbce673b6c1b351cc7eb5814726d0611c699f",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant pointwise --format csv":
+        "0 9c52b718ad9a0ee67b7d4c41c936c0685e660cf55edc1342ece26f17d162a1c8",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant pointwise --format json":
+        "0 c045da3cf2864f6a8e1ff761d2c97b00618752524507b8ff07dbccb9fa51bd57",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant pointwise --dense-expected --format csv":
+        "0 9c52b718ad9a0ee67b7d4c41c936c0685e660cf55edc1342ece26f17d162a1c8",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant pointwise --dense-expected --format json":
+        "0 c045da3cf2864f6a8e1ff761d2c97b00618752524507b8ff07dbccb9fa51bd57",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant both --format csv":
+        "0 e7d46b066600399843334008e00709939af51e7b65e3da84052464fa25a1685e",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant both --format json":
+        "0 e2d7444175830a414bbe333875c361e5006fdd493523a2f1bc729b84240ca936",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant both --dense-expected --format csv":
+        "0 e7d46b066600399843334008e00709939af51e7b65e3da84052464fa25a1685e",
+    "ks --input sample.jsonl --counting straight --preset paper --ks-variant both --dense-expected --format json":
+        "0 e2d7444175830a414bbe333875c361e5006fdd493523a2f1bc729b84240ca936",
+    "report --input sample.jsonl --counting straight --preset paper --plot-out plot.csv --ks-variant standard --dense-expected":
+        "0 84efdd6c28a2418eee7c482fc9c31768f1d7dc2993bb0c659dd46e1feb645750",
+}
+
+# SHA-256 of the --plot-out file, for the report invocations that write one.
+GOLDEN_PLOT = {
+    "report --input cad.csv --preset paper --plot-out plot.csv":
+        "2344774643b5227fc634d23ae9e86551f568cb9ae0a0a98c1cb9911c704d3ab7",
+    "report --input cad.csv --preset paper --plot-out plot.csv --truncate-x 4":
+        "90acbdc9cd5a710ee0b6951c86249113ecd7444b7ac42d87d6e7d7d497b84d66",
+    "report --input cad.csv --preset paper --plot-out plot.csv --c-digits full --c-method sum:1000":
+        "78c833e2b75b8227a18364b66d06fd318b88903bcb6888727af8a0ae9072e392",
+    "report --input cad.csv --preset paper --plot-out plot.csv --counting straight":
+        "2344774643b5227fc634d23ae9e86551f568cb9ae0a0a98c1cb9911c704d3ab7",
+    "report --input cad.csv --preset paper --plot-out plot.csv --counting straight --truncate-x 4":
+        "90acbdc9cd5a710ee0b6951c86249113ecd7444b7ac42d87d6e7d7d497b84d66",
+    "report --input cad.csv --preset paper --plot-out plot.csv --counting straight --c-digits full --c-method sum:1000":
+        "78c833e2b75b8227a18364b66d06fd318b88903bcb6888727af8a0ae9072e392",
+    "report --input cad.csv --preset paper --plot-out plot.csv --ks-variant standard --dense-expected":
+        "2344774643b5227fc634d23ae9e86551f568cb9ae0a0a98c1cb9911c704d3ab7",
+    "report --input sample.psv --preset paper --plot-out plot.csv --counting straight":
+        "54b77865eca1e31220dca890b57d6ee58f60feaddca02a4c64e1bcfd828bfef0",
+    "report --input sample.psv --preset paper --plot-out plot.csv --counting straight --truncate-x 4":
+        "54b77865eca1e31220dca890b57d6ee58f60feaddca02a4c64e1bcfd828bfef0",
+    "report --input sample.psv --preset paper --plot-out plot.csv --counting straight --c-digits full --c-method sum:1000":
+        "e2c3f13c4bfbd38e8d97a9b18afae468afe99886081655be24a707c793fa1806",
+    "report --input sample.psv --counting straight --preset paper --plot-out plot.csv --ks-variant standard --dense-expected":
+        "54b77865eca1e31220dca890b57d6ee58f60feaddca02a4c64e1bcfd828bfef0",
+    "report --input sample.jsonl --preset paper --plot-out plot.csv --counting straight":
+        "54b77865eca1e31220dca890b57d6ee58f60feaddca02a4c64e1bcfd828bfef0",
+    "report --input sample.jsonl --preset paper --plot-out plot.csv --counting straight --truncate-x 4":
+        "54b77865eca1e31220dca890b57d6ee58f60feaddca02a4c64e1bcfd828bfef0",
+    "report --input sample.jsonl --preset paper --plot-out plot.csv --counting straight --c-digits full --c-method sum:1000":
+        "e2c3f13c4bfbd38e8d97a9b18afae468afe99886081655be24a707c793fa1806",
+    "report --input sample.jsonl --counting straight --preset paper --plot-out plot.csv --ks-variant standard --dense-expected":
+        "54b77865eca1e31220dca890b57d6ee58f60feaddca02a4c64e1bcfd828bfef0",
+}
+
+
+def test_golden_outputs_are_byte_identical(capsys, tmp_path, monkeypatch):
+    for name, data in _golden_inputs().items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    found = {" ".join(argv): _golden_digest(capsys, argv) for argv in _golden_cases()}
+    assert list(found) == list(GOLDEN_STDOUT)
+    for key, (stdout, plot) in found.items():
+        assert stdout == GOLDEN_STDOUT[key], key
+        assert plot == GOLDEN_PLOT.get(key), key
