@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from math import log10
 from pathlib import Path
 
@@ -22,16 +21,17 @@ from .corpus import (
     CountingMethod,
     ProductivityDistribution,
     PublicationRecord,
+    _decode,
     count_productivity,
     dump_distribution,
     load_distribution,
     parse_records,
 )
 from .errors import DataError, NumericError
-from .gof import COEFFICIENT_PRESETS, render_report_csv, ks_report, run_ks
-from .lotka import expected_proportion, fit_power_law
+from .gof import COEFFICIENT_PRESETS, render_report_csv, run_ks
+from .lotka import fit_power_law
 
-__all__ = ["main", "build_parser", "RunConfig", "UsageError"]
+__all__ = ["main", "build_parser", "UsageError"]
 
 
 class UsageError(Exception):
@@ -41,27 +41,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse calls this on any usage problem
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, resolved from flags."""
-
-    command: str
-    input_path: str
-    input_kind: str = "auto"
-    counting: CountingMethod = CountingMethod.COMPLETE
-    output_format: str = "csv"
-    c_method: str = "zeta"
-    c_limit: int = 1_000_000
-    c_digits: int | None = 2
-    truncate_x: int | None = None
-    coefficient: float | None = None
-    ks_variant: str = "both"
-    dense_expected: bool = False
-    period_length: int = 5
-    origin_year: int | None = None
-    plot_out: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -200,43 +179,25 @@ def _parse_c_digits(text: str) -> int | None:
     return digits
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        input_kind=args.input_kind,
-        counting=CountingMethod(args.counting),
-    )
-    default_format = "json" if args.command == "report" else "csv"
+def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Validate flag combinations once and resolve defaults in place."""
     if args.output_format is None:
-        config.output_format = default_format
+        args.output_format = "json" if args.command == "report" else "csv"
     elif args.command == "report" and args.output_format != "json":
         raise UsageError("report emits a json document; use --plot-out for csv plot data")
-    else:
-        config.output_format = args.output_format
     if hasattr(args, "c_method"):
-        config.c_method, config.c_limit = _parse_c_method(args.c_method)
-        config.c_digits = _parse_c_digits(args.c_digits)
-        config.truncate_x = args.truncate_x
+        args.c_method, args.c_limit = _parse_c_method(args.c_method)
+        args.c_digits = _parse_c_digits(args.c_digits)
     if hasattr(args, "coefficient"):
         if args.coefficient is not None and args.preset is not None:
             raise UsageError("pass either --coefficient or --preset, not both")
-        if args.coefficient is not None:
-            config.coefficient = args.coefficient
-        elif args.preset is not None:
-            config.coefficient = COEFFICIENT_PRESETS[args.preset]
-        else:
+        if args.preset is not None:
+            args.coefficient = COEFFICIENT_PRESETS[args.preset]
+        elif args.coefficient is None:
             raise UsageError(f"{args.command} requires --coefficient or --preset")
-        config.ks_variant = args.ks_variant
-        config.dense_expected = args.dense_expected
-    if hasattr(args, "period"):
-        if args.period < 1:
-            raise UsageError("--period must be >= 1")
-        config.period_length = args.period
-        config.origin_year = args.origin
-    if hasattr(args, "plot_out"):
-        config.plot_out = args.plot_out
-    return config
+    if hasattr(args, "period") and args.period < 1:
+        raise UsageError("--period must be >= 1")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -261,66 +222,73 @@ def _detect_kind(text: str) -> str:
 
 
 def _load_input(
-    config: RunConfig,
+    args: argparse.Namespace,
 ) -> tuple[list[PublicationRecord] | None, ProductivityDistribution | None]:
     """Returns (records, None) for record files, (None, dist) for tables."""
     try:
-        data = Path(config.input_path).read_bytes()
+        data = Path(args.input).read_bytes()
     except OSError as exc:
-        raise DataError(f"cannot read {config.input_path}: {exc.strerror}") from None
-    kind = config.input_kind
-    if kind == "auto":
-        try:
-            decoded = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input is not valid UTF-8: {exc}") from None
-        kind = _detect_kind(decoded)
+        raise DataError(f"cannot read {args.input}: {exc.strerror}") from None
+    text = _decode(data)
+    kind = _detect_kind(text) if args.input_kind == "auto" else args.input_kind
     if kind == "distribution":
-        return None, load_distribution(data)
-    return parse_records(data, fmt=kind), None
+        return None, load_distribution(text)
+    return parse_records(text, fmt=kind), None
 
 
-def _distribution_for(config: RunConfig) -> tuple[
+def _distribution_for(args: argparse.Namespace) -> tuple[
     ProductivityDistribution, list[PublicationRecord] | None
 ]:
-    records, dist = _load_input(config)
+    records, dist = _load_input(args)
     if dist is None:
-        dist = count_productivity(records, config.counting)
+        dist = count_productivity(records, args.counting)
     return dist, records
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _fit_for(config: RunConfig, dist: ProductivityDistribution):
+def _fit_for(args: argparse.Namespace, dist: ProductivityDistribution):
     return fit_power_law(
         dist,
-        c_method=config.c_method,
-        limit=config.c_limit,
-        constant_digits=config.c_digits,
-        max_x=config.truncate_x,
+        c_method=args.c_method,
+        limit=args.c_limit,
+        constant_digits=args.c_digits,
+        max_x=args.truncate_x,
     )
+
+
+def _ks_for(args: argparse.Namespace, dist: ProductivityDistribution):
+    fit = _fit_for(args, dist)
+    result = run_ks(dist, fit.n, fit.c, args.coefficient, dense_expected=args.dense_expected)
+    # --ks-variant drops the other statistic's D and verdict
+    dropped = {"standard": "_pointwise", "pointwise": "_cumulative"}.get(args.ks_variant)
+    doc = {
+        k: v for k, v in result.to_dict().items() if dropped is None or not k.endswith(dropped)
+    }
+    return fit, result, doc
 
 
 def _json_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
+def _metric_lines(pairs) -> str:
+    """``key,value`` lines; repr keeps full float precision, bools print lowercase."""
+    return "".join(f"{k},{repr(v).lower()}\n" for k, v in pairs)
 
 
-def cmd_ingest(config: RunConfig) -> str:
-    dist, _ = _distribution_for(config)
-    if config.output_format == "json":
+def cmd_ingest(args: argparse.Namespace) -> str:
+    dist, _ = _distribution_for(args)
+    if args.output_format == "json":
         return _json_doc(dist.to_dict())
     return dump_distribution(dist)
 
 
-def cmd_fit(config: RunConfig) -> str:
-    dist, _ = _distribution_for(config)
-    fit = _fit_for(config, dist)
-    if config.output_format == "json":
+def cmd_fit(args: argparse.Namespace) -> str:
+    dist, _ = _distribution_for(args)
+    fit = _fit_for(args, dist)
+    if args.output_format == "json":
         return _json_doc(fit.to_dict())
     lines = [
         "field,value,display",
@@ -336,117 +304,64 @@ def cmd_fit(config: RunConfig) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _ks_summary_pairs(fit, result, variant: str) -> list[tuple[str, str]]:
-    pairs = [
-        ("n", repr(fit.n)),
-        ("c", repr(fit.c)),
-        ("intercept", repr(fit.intercept)),
-        ("total_authors", str(result.total_authors)),
-        ("coefficient", repr(result.coefficient)),
-        ("critical_value", repr(result.critical_value)),
-    ]
-    if variant in ("pointwise", "both"):
-        pairs.append(("d_max_pointwise", repr(result.d_max_pointwise)))
-        pairs.append(("conforms_pointwise", _bool_text(result.conforms_pointwise)))
-    if variant in ("standard", "both"):
-        pairs.append(("d_max_cumulative", repr(result.d_max_cumulative)))
-        pairs.append(("conforms_cumulative", _bool_text(result.conforms_cumulative)))
-    return pairs
+# Order of the ks CSV summary after the fit's n, c and intercept.
+_KS_SUMMARY_KEYS = ("total_authors", "coefficient", "critical_value", "d_max_pointwise",
+                    "conforms_pointwise", "d_max_cumulative", "conforms_cumulative")
 
 
-def _filtered_result_dict(result, variant: str) -> dict:
-    doc = result.to_dict()
-    if variant == "standard":
-        doc.pop("d_max_pointwise")
-        doc.pop("conforms_pointwise")
-    elif variant == "pointwise":
-        doc.pop("d_max_cumulative")
-        doc.pop("conforms_cumulative")
-    return doc
+def cmd_ks(args: argparse.Namespace) -> str:
+    dist, _ = _distribution_for(args)
+    fit, result, doc = _ks_for(args, dist)
+    if args.output_format == "json":
+        rows = [row.__dict__ for row in result.rows]
+        return _json_doc({"fit": fit.to_dict(), "result": doc, "rows": rows})
+    summary = [("n", fit.n), ("c", fit.c), ("intercept", fit.intercept)]
+    summary += [(k, doc[k]) for k in _KS_SUMMARY_KEYS if k in doc]
+    return render_report_csv(result.rows) + "\nmetric,value\n" + _metric_lines(summary)
 
 
-def cmd_ks(config: RunConfig) -> str:
-    dist, _ = _distribution_for(config)
-    fit = _fit_for(config, dist)
-    report = ks_report(dist, fit.n, fit.c, dense_expected=config.dense_expected)
-    result = run_ks(
-        dist, fit.n, fit.c, config.coefficient, dense_expected=config.dense_expected
-    )
-    if config.output_format == "json":
-        return _json_doc(
-            {
-                "fit": fit.to_dict(),
-                "result": _filtered_result_dict(result, config.ks_variant),
-                "rows": [row.__dict__ for row in report],
-            }
-        )
-    summary = "".join(
-        f"{k},{v}\n" for k, v in _ks_summary_pairs(fit, result, config.ks_variant)
-    )
-    return render_report_csv(report) + "\nmetric,value\n" + summary
-
-
-def cmd_pattern(config: RunConfig) -> str:
-    records, dist = _load_input(config)
+def cmd_pattern(args: argparse.Namespace) -> str:
+    records, _ = _load_input(args)
     if records is None:
         raise DataError("pattern requires records input, not a distribution table")
-    table = authorship_pattern(
-        records, period_length=config.period_length, origin_year=config.origin_year
-    )
+    table = authorship_pattern(records, period_length=args.period, origin_year=args.origin)
     metrics = collab_metrics(records)
-    if config.output_format == "json":
+    if args.output_format == "json":
         return _json_doc({"pattern": table.to_dict(), "metrics": metrics.to_dict()})
-    metric_lines = "".join(
-        f"{k},{v!r}\n" if isinstance(v, float) else f"{k},{v}\n"
-        for k, v in metrics.to_dict().items()
-    )
+    metric_lines = _metric_lines(metrics.to_dict().items())
     return render_pattern_csv(table) + "\nmetric,value\n" + metric_lines
 
 
-def _plot_rows(dist: ProductivityDistribution, n: float, c: float) -> list[list[float]]:
-    total = dist.total_authors
-    rows = []
-    for x, y in dist.points:
-        expected_count = expected_proportion(n, c, x) * total
-        rows.append([log10(x), log10(y), log10(expected_count)])
-    return rows
-
-
-def cmd_report(config: RunConfig) -> str:
-    records, dist = _load_input(config)
-    if dist is None:
-        dist = count_productivity(records, config.counting)
-    fit = _fit_for(config, dist)
-    report = ks_report(dist, fit.n, fit.c, dense_expected=config.dense_expected)
-    result = run_ks(
-        dist, fit.n, fit.c, config.coefficient, dense_expected=config.dense_expected
-    )
-    plot_rows = _plot_rows(dist, fit.n, fit.c)
+def cmd_report(args: argparse.Namespace) -> str:
+    dist, records = _distribution_for(args)
+    fit, result, ks_doc = _ks_for(args, dist)
+    plot_rows = [
+        [log10(row.x), log10(row.y), log10(row.expected_proportion * result.total_authors)]
+        for row in result.rows
+    ]
     doc = {
-        "input": {"path": config.input_path, "counting": config.counting.value},
+        "input": {"path": args.input, "counting": args.counting},
         "distribution": dist.to_dict(),
         "fit": fit.to_dict(),
-        "ks": _filtered_result_dict(result, config.ks_variant),
-        "ks_rows": [row.__dict__ for row in report],
+        "ks": ks_doc,
+        "ks_rows": [row.__dict__ for row in result.rows],
         "plot_data": plot_rows,
         "pattern": None,
         "collaboration": None,
     }
     if records is not None:
-        table = authorship_pattern(
-            records, period_length=config.period_length, origin_year=config.origin_year
-        )
+        table = authorship_pattern(records, period_length=args.period, origin_year=args.origin)
         doc["pattern"] = table.to_dict()
         doc["collaboration"] = collab_metrics(records).to_dict()
-    if config.plot_out is not None:
+    if args.plot_out is not None:
         lines = ["log10_x,log10_observed,log10_expected"]
         lines += [f"{r[0]!r},{r[1]!r},{r[2]!r}" for r in plot_rows]
         try:
-            Path(config.plot_out).write_text(
+            Path(args.plot_out).write_text(
                 "".join(line + "\n" for line in lines), encoding="utf-8"
             )
         except OSError as exc:
-            raise DataError(f"cannot write {config.plot_out}: {exc.strerror}") from None
+            raise DataError(f"cannot write {args.plot_out}: {exc.strerror}") from None
     return _json_doc(doc)
 
 
@@ -463,8 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        output = _COMMANDS[config.command](config)
+        output = _COMMANDS[args.command](_resolve_args(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

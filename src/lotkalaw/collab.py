@@ -8,7 +8,7 @@ and the collaborative index (mean authors per record).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -88,12 +88,7 @@ class CollabMetrics:
     collaborative_index: float
 
     def to_dict(self) -> dict:
-        return {
-            "single_count": self.single_count,
-            "multi_count": self.multi_count,
-            "degree_of_collaboration": self.degree_of_collaboration,
-            "collaborative_index": self.collaborative_index,
-        }
+        return asdict(self)
 
 
 def authorship_pattern(

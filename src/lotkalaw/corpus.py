@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -87,10 +87,19 @@ class ProductivityDistribution:
     ``x`` and positive ``y``; gaps in ``x`` mean zero authors there.
     ``provenance`` says where the table came from (loaded file, counted
     corpus, synthetic draw) and never affects any computation.
+
+    Built once at construction: the read-only int64 columns ``xs`` and
+    ``ys``, ``total_authors`` (sum of y: how many distinct authors were
+    tallied) and ``total_contributions`` (sum of x*y: how many credits
+    the tallied authors hold together).
     """
 
     points: tuple[tuple[int, int], ...]
     provenance: str = "loaded"
+    xs: np.ndarray = field(init=False, repr=False, compare=False)
+    ys: np.ndarray = field(init=False, repr=False, compare=False)
+    total_authors: int = field(init=False, repr=False, compare=False)
+    total_contributions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple((int(x), int(y)) for x, y in self.points)
@@ -104,24 +113,13 @@ class ProductivityDistribution:
             if y < 1:
                 raise DataError(f"count for x={x} must be >= 1; omit zero rows")
             prev = x
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points], dtype=np.int64)
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points], dtype=np.int64)
-
-    @property
-    def total_authors(self) -> int:
-        """Sum of the y column: how many distinct authors were tallied."""
-        return int(self.ys.sum())
-
-    @property
-    def total_contributions(self) -> int:
-        """Sum of x*y: how many credits the tallied authors hold together."""
-        return int((self.xs * self.ys).sum())
+        xs = np.array([x for x, _ in pts], dtype=np.int64)
+        ys = np.array([y for _, y in pts], dtype=np.int64)
+        xs.flags.writeable = ys.flags.writeable = False
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "total_authors", int(ys.sum()))
+        object.__setattr__(self, "total_contributions", int((xs * ys).sum()))
 
     def to_dict(self) -> dict:
         return {
@@ -136,9 +134,10 @@ class ProductivityDistribution:
 # record parsing
 
 def _decode(data: bytes | str) -> str:
+    """Text of a UTF-8 input; a leading byte order mark is dropped."""
     if isinstance(data, (bytes, bytearray)):
         try:
-            return data.decode("utf-8")
+            return data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not valid UTF-8: {exc}") from None
     return data

@@ -16,7 +16,7 @@ nonstandard 2.54 used by the CAD study whose numbers ship as fixtures
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from math import sqrt
 
 import numpy as np
@@ -61,7 +61,11 @@ class KSReportRow:
 
 @dataclass(frozen=True)
 class KSResult:
-    """Both statistics, the critical value and the two verdicts."""
+    """Both statistics, the critical value and the two verdicts.
+
+    ``rows`` is the comparison table the statistics were taken from; it
+    is left out of equality, ``repr`` and :meth:`to_dict`.
+    """
 
     d_max_pointwise: float
     d_max_cumulative: float
@@ -70,17 +74,10 @@ class KSResult:
     total_authors: int
     conforms_pointwise: bool
     conforms_cumulative: bool
+    rows: tuple[KSReportRow, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "d_max_pointwise": self.d_max_pointwise,
-            "d_max_cumulative": self.d_max_cumulative,
-            "critical_value": self.critical_value,
-            "coefficient": self.coefficient,
-            "total_authors": self.total_authors,
-            "conforms_pointwise": self.conforms_pointwise,
-            "conforms_cumulative": self.conforms_cumulative,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
 
 
 def ks_report(
@@ -97,34 +94,19 @@ def ks_report(
     integer from 1 up to each level, including levels nobody attained.
     """
     xs = dist.xs
-    ys = dist.ys.astype(np.float64)
-    total = ys.sum()
-    observed = ys / total
+    observed = dist.ys / dist.total_authors
     observed_cum = np.cumsum(observed)
-    expected = np.array([expected_proportion(n, c, int(x)) for x in xs])
+    # One scalar expected_proportion per level: numpy's vectorized power
+    # can differ from it in the last bit, which would change printed digits.
+    levels = range(1, int(xs[-1]) + 1) if dense_expected else xs.tolist()
+    table = np.array([expected_proportion(n, c, x) for x in levels])
     if dense_expected:
-        full = np.array(
-            [expected_proportion(n, c, t) for t in range(1, int(xs[-1]) + 1)]
-        )
-        full_cum = np.cumsum(full)
-        expected_cum = full_cum[xs - 1]
+        expected, expected_cum = table[xs - 1], np.cumsum(table)[xs - 1]
     else:
-        expected_cum = np.cumsum(expected)
-    rows = []
-    for i in range(len(xs)):
-        rows.append(
-            KSReportRow(
-                x=int(xs[i]),
-                y=int(dist.ys[i]),
-                observed_proportion=float(observed[i]),
-                observed_cumulative=float(observed_cum[i]),
-                expected_proportion=float(expected[i]),
-                expected_cumulative=float(expected_cum[i]),
-                pointwise_diff=float(observed[i] - expected[i]),
-                cumulative_diff=float(observed_cum[i] - expected_cum[i]),
-            )
-        )
-    return rows
+        expected, expected_cum = table, np.cumsum(table)
+    pointwise, cumulative = observed - expected, observed_cum - expected_cum
+    columns = (xs, dist.ys, observed, observed_cum, expected, expected_cum, pointwise, cumulative)
+    return [KSReportRow(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
 def ks_statistic_pointwise(report: list[KSReportRow]) -> float:
@@ -167,6 +149,7 @@ def run_ks(
         total_authors=total,
         conforms_pointwise=abs(d_pw) <= crit,
         conforms_cumulative=d_cum <= crit,
+        rows=tuple(report),
     )
 
 

@@ -16,7 +16,7 @@ as a slower cross-check route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class RegressionSums:
 
 @dataclass(frozen=True)
 class LotkaFit:
-    """Fitted exponent (reported as a positive magnitude) and friends.
+    """Fitted exponent (the negated log-log slope) and friends.
 
     ``c`` is None until a constant is attached, see :func:`fit_power_law`.
     """
@@ -63,17 +63,7 @@ class LotkaFit:
     c: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "intercept": self.intercept,
-            "sums": {
-                "sum_x": self.sums.sum_x,
-                "sum_y": self.sums.sum_y,
-                "sum_xy": self.sums.sum_xy,
-                "sum_x2": self.sums.sum_x2,
-                "point_count": self.sums.point_count,
-            },
-        }
+        out = {"n": self.n, "intercept": self.intercept, "sums": asdict(self.sums)}
         if self.c is not None:
             out["c"] = self.c
             out["display"] = {"n": f"{self.n:.2f}", "c": f"{self.c:.4f}"}
@@ -83,20 +73,23 @@ class LotkaFit:
 def fit_exponent_lsq(
     dist: ProductivityDistribution, max_x: int | None = None
 ) -> LotkaFit:
-    """Least-squares slope on (log10 x, log10 y); the exponent is |slope|.
+    """Least-squares slope on (log10 x, log10 y); the exponent is -slope.
 
     ``max_x`` drops rows above a productivity cap before fitting, which
     tames the long sparse tail of observed tables. Fewer than two
-    surviving rows cannot define a line and raise NumericError.
+    surviving rows cannot define a line and raise NumericError, and so
+    does a slope that is not negative: counts that do not fall as x
+    grows have no inverse power law to report.
     """
-    points = dist.points
+    xs, ys = dist.xs, dist.ys
     if max_x is not None:
-        points = tuple(p for p in points if p[0] <= max_x)
-    if len(points) < 2:
+        keep = xs <= max_x
+        xs, ys = xs[keep], ys[keep]
+    if len(xs) < 2:
         raise NumericError("degenerate regression: need at least two x levels")
-    lx = np.log10([p[0] for p in points])
-    ly = np.log10([p[1] for p in points])
-    count = len(points)
+    lx = np.log10(xs)
+    ly = np.log10(ys)
+    count = len(xs)
     sum_x = float(lx.sum())
     sum_y = float(ly.sum())
     sum_xy = float((lx * ly).sum())
@@ -105,9 +98,11 @@ def fit_exponent_lsq(
     if abs(denom) < 1e-12:
         raise NumericError("degenerate regression: no spread in log x")
     slope = (count * sum_xy - sum_x * sum_y) / denom
+    if slope >= 0:
+        raise NumericError(f"fitted slope {slope!r} is not negative: counts do not fall with x")
     intercept = (sum_y - slope * sum_x) / count
     sums = RegressionSums(sum_x, sum_y, sum_xy, sum_x2, count)
-    return LotkaFit(n=abs(slope), intercept=intercept, sums=sums)
+    return LotkaFit(n=-slope, intercept=intercept, sums=sums)
 
 
 def _zeta_euler_maclaurin(n: float, cutoff: int = EULER_MACLAURIN_CUTOFF) -> float:

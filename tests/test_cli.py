@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lotkalaw import dump_distribution, dump_records, exact_distribution, parse_records
+from lotkalaw import cli, gof
 from lotkalaw.cli import main
 
 from conftest import DATA_DIR, build_mixed_records, build_pattern_records
@@ -339,6 +340,54 @@ def test_empty_file_exits_2(capsys, tmp_path):
     path.write_text("")
     code, _, err = run(capsys, "fit", "--input", str(path))
     assert code == 2
+
+
+def test_increasing_table_exits_3(capsys, tmp_path):
+    path = tmp_path / "rising.csv"
+    path.write_text("x,y\n1,1\n2,10\n3,100\n")
+    code, out, err = run(capsys, "fit", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert "not negative" in err
+
+
+def test_byte_order_mark_is_dropped(capsys, tmp_path):
+    table = tmp_path / "bom.csv"
+    table.write_bytes(b"\xef\xbb\xbfx,y\n1,9\n5,1\n")
+    code, out, _ = run(capsys, "ingest", "--input", str(table))
+    assert code == 0
+    assert out == "x,y\n1,9\n5,1\n"
+    records = tmp_path / "bom.psv"
+    records.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "sample_records.psv").read_bytes())
+    code, out, _ = run(capsys, "ingest", "--input", str(records))
+    assert code == 0
+    assert out == "x,y\n1,2\n2,2\n4,1\n5,1\n"
+
+
+@pytest.mark.parametrize("kind", ["auto", "pipe", "distribution"])
+def test_invalid_utf8_exits_2(capsys, tmp_path, kind):
+    path = tmp_path / "latin1.psv"
+    path.write_bytes("P1|2001|Müller, K\n".encode("latin-1"))
+    code, out, err = run(capsys, "ingest", "--input", str(path), "--input-kind", kind)
+    assert code == 2
+    assert out == ""
+    assert "not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["ks", "report"])
+def test_ks_report_runs_once_per_invocation(capsys, monkeypatch, command):
+    calls = []
+    original = gof.ks_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gof, "ks_report", counted)
+    monkeypatch.setattr(cli, "ks_report", counted, raising=False)  # a direct caller, if any
+    code, _, _ = run(capsys, command, "--input", CAD, "--preset", "paper")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_bad_c_method_exits_1(capsys):

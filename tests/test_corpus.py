@@ -81,6 +81,18 @@ def test_parse_rejects_non_utf8():
         parse_records(b"P1|2005|\xff\xfe\n")
 
 
+def test_parse_drops_utf8_byte_order_mark():
+    records = parse_records(b"\xef\xbb\xbfP1|2001|Smith, A\n")
+    assert records[0].id == "P1"
+    records = parse_records(b'\xef\xbb\xbf{"authors":["A"],"id":"J1","year":2001}\n', "jsonl")
+    assert records[0].id == "J1"
+
+
+def test_load_distribution_drops_utf8_byte_order_mark():
+    dist = load_distribution(b"\xef\xbb\xbfx,y\n1,9\n2,3\n")
+    assert dist.points == ((1, 9), (2, 3))
+
+
 def test_parse_unknown_format():
     with pytest.raises(DataError, match="unknown record format"):
         parse_records("x", fmt="csv")
@@ -250,6 +262,17 @@ def test_distribution_totals():
     dist = ProductivityDistribution(((1, 3), (4, 2)))
     assert dist.total_authors == 5
     assert dist.total_contributions == 3 + 8
+
+
+def test_distribution_columns_are_built_once_and_read_only():
+    dist = ProductivityDistribution(((1, 3), (4, 2)))
+    assert dist.xs is dist.xs and dist.ys is dist.ys
+    assert dist.xs.tolist() == [1, 4] and dist.ys.tolist() == [3, 2]
+    with pytest.raises(ValueError):
+        dist.xs[0] = 2
+    with pytest.raises(ValueError):
+        dist.ys[0] = 7
+    assert dist == ProductivityDistribution(((1, 3), (4, 2)), provenance="loaded")
 
 
 def test_record_invariants():

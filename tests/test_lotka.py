@@ -96,6 +96,18 @@ def test_fit_degenerate_cases(cad_distribution):
         fit_exponent_lsq(cad_distribution, max_x=1)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [((1, 1), (2, 10), (3, 100)), ((1, 1), (2, 1), (3, 1))],
+    ids=["increasing", "flat"],
+)
+def test_fit_rejects_a_slope_that_is_not_negative(points):
+    with pytest.raises(NumericError, match=r"slope \S+ is not negative"):
+        fit_exponent_lsq(ProductivityDistribution(points))
+    with pytest.raises(NumericError, match="not negative"):
+        fit_power_law(ProductivityDistribution(points))
+
+
 # ---------------------------------------------------------------------------
 # normalizing constant
 
