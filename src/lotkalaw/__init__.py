@@ -24,6 +24,7 @@ from .corpus import (
     load_distribution,
     normalize_author,
     parse_records,
+    read_input,
 )
 from .errors import DataError, LotkaLawError, NumericError
 from .gof import (
@@ -92,6 +93,7 @@ __all__ = [
     "load_distribution",
     "normalize_author",
     "parse_records",
+    "read_input",
     "render_pattern_csv",
     "render_report_csv",
     "run_ks",

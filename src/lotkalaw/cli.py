@@ -21,11 +21,9 @@ from .corpus import (
     CountingMethod,
     ProductivityDistribution,
     PublicationRecord,
-    _decode,
     count_productivity,
     dump_distribution,
-    load_distribution,
-    parse_records,
+    read_input,
 )
 from .errors import DataError, NumericError
 from .gof import COEFFICIENT_PRESETS, render_report_csv, run_ks
@@ -53,12 +51,6 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
         choices=["auto", "pipe", "jsonl", "distribution"],
         default="auto",
         help="input layout; auto sniffs the first content line",
-    )
-    sub.add_argument(
-        "--counting",
-        choices=[m.value for m in CountingMethod],
-        default=CountingMethod.COMPLETE.value,
-        help="credit every listed author (complete) or only the first (straight)",
     )
     sub.add_argument(
         "--format",
@@ -150,6 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_flags(sub)
     sub.add_argument("--plot-out", default=None, help="also write plot-ready CSV here")
 
+    for name in ("ingest", "fit", "ks", "pattern", "report"):
+        subs.choices[name].add_argument(
+            "--counting",
+            choices=[m.value for m in CountingMethod],
+            default=CountingMethod.COMPLETE.value,
+            help="credit every listed author (complete) or only the first (straight)",
+        )
     return parser
 
 
@@ -203,46 +202,22 @@ def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 # input handling
 
-def _detect_kind(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("{"):
-            return "jsonl"
-        if "|" in line:
-            return "pipe"
-        squeezed = line.replace(" ", "").lower()
-        if squeezed == "x,y" or re.fullmatch(r"\d+,\d+", squeezed):
-            return "distribution"
-        raise DataError(
-            f"cannot tell what kind of input {line[:40]!r} starts; pass --input-kind"
-        )
-    raise DataError("input file is empty; pass --input-kind if this is intended")
-
-
-def _load_input(
-    args: argparse.Namespace,
-) -> tuple[list[PublicationRecord] | None, ProductivityDistribution | None]:
-    """Returns (records, None) for record files, (None, dist) for tables."""
+def _load_input(args: argparse.Namespace) -> list[PublicationRecord] | ProductivityDistribution:
     try:
         data = Path(args.input).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {args.input}: {exc.strerror}") from None
-    text = _decode(data)
-    kind = _detect_kind(text) if args.input_kind == "auto" else args.input_kind
-    if kind == "distribution":
-        return None, load_distribution(text)
-    return parse_records(text, fmt=kind), None
+    return read_input(data, args.input_kind)
 
 
 def _distribution_for(args: argparse.Namespace) -> tuple[
     ProductivityDistribution, list[PublicationRecord] | None
 ]:
-    records, dist = _load_input(args)
-    if dist is None:
-        dist = count_productivity(records, args.counting)
-    return dist, records
+    """The table to fit, and the records it was counted from (None for a table)."""
+    loaded = _load_input(args)
+    if isinstance(loaded, ProductivityDistribution):
+        return loaded, None
+    return count_productivity(loaded, args.counting), loaded
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +296,8 @@ def cmd_ks(args: argparse.Namespace) -> str:
 
 
 def cmd_pattern(args: argparse.Namespace) -> str:
-    records, _ = _load_input(args)
-    if records is None:
+    records = _load_input(args)
+    if isinstance(records, ProductivityDistribution):
         raise DataError("pattern requires records input, not a distribution table")
     table = authorship_pattern(records, period_length=args.period, origin_year=args.origin)
     metrics = collab_metrics(records)

@@ -27,10 +27,6 @@ __all__ = [
 BUCKET_LABELS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", ">10")
 
 
-def _bucket_index(author_count: int) -> int:
-    return author_count - 1 if author_count <= 10 else 10
-
-
 @dataclass(frozen=True)
 class AuthorshipPatternTable:
     """Counts matrix of shape (11 buckets, period count), plus labels.
@@ -106,17 +102,22 @@ def authorship_pattern(
         raise DataError("empty corpus: no records to bucket")
     if period_length < 1:
         raise DataError(f"period_length must be >= 1, got {period_length}")
-    years = [rec.year for rec in records]
-    origin = min(years) if origin_year is None else origin_year
-    for rec in records:
-        if rec.year < origin:
-            raise DataError(
-                f"record {rec.id!r}: year {rec.year} precedes origin year {origin}"
-            )
-    n_periods = (max(years) - origin) // period_length + 1
-    counts = np.zeros((len(BUCKET_LABELS), n_periods), dtype=np.int64)
-    for rec in records:
-        counts[_bucket_index(len(rec.authors)), (rec.year - origin) // period_length] += 1
+    try:
+        years = np.fromiter((rec.year for rec in records), np.int64, len(records))
+    except OverflowError:
+        raise DataError("a record year does not fit in 64 bits") from None
+    sizes = np.fromiter((len(rec.authors) for rec in records), np.int64, len(records))
+    origin = int(years.min()) if origin_year is None else origin_year
+    early = np.flatnonzero(years < origin)
+    if early.size:
+        rec = records[early[0]]
+        raise DataError(f"record {rec.id!r}: year {rec.year} precedes origin year {origin}")
+    n_periods = (int(years.max()) - origin) // period_length + 1
+    # bucket b (author counts 1..10, then ">10") and period p share one flat index
+    buckets = np.minimum(sizes, len(BUCKET_LABELS)) - 1
+    flat = buckets * n_periods + (years - origin) // period_length
+    counts = np.bincount(flat, minlength=len(BUCKET_LABELS) * n_periods)
+    counts = counts.reshape(len(BUCKET_LABELS), n_periods)
     bins = tuple(
         (origin + i * period_length, origin + (i + 1) * period_length - 1)
         for i in range(n_periods)
@@ -128,9 +129,10 @@ def collab_metrics(records: list[PublicationRecord]) -> CollabMetrics:
     """Degree of collaboration and collaborative index for a corpus."""
     if not records:
         raise DataError("empty corpus: no records to summarize")
-    single = sum(1 for rec in records if len(rec.authors) == 1)
+    sizes = np.fromiter((len(rec.authors) for rec in records), np.int64, len(records))
+    single = int(np.count_nonzero(sizes == 1))
     multi = len(records) - single
-    total_authors = sum(len(rec.authors) for rec in records)
+    total_authors = int(sizes.sum())
     return CollabMetrics(
         single_count=single,
         multi_count=multi,

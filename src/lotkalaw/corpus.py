@@ -27,9 +27,11 @@ are omitted, never written as rows.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -42,6 +44,7 @@ __all__ = [
     "ProductivityDistribution",
     "normalize_author",
     "parse_records",
+    "read_input",
     "dump_records",
     "count_productivity",
     "load_distribution",
@@ -63,7 +66,10 @@ def normalize_author(name: str) -> str:
 
 @dataclass(frozen=True)
 class PublicationRecord:
-    """One publication: an id, a year and the ordered author list."""
+    """One publication: an id, a year and the ordered author list.
+
+    The one check of a record's fields, also for parsed records.
+    """
 
     id: str
     year: int
@@ -71,12 +77,18 @@ class PublicationRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "authors", tuple(self.authors))
+        if not isinstance(self.id, str):
+            raise DataError(f"record id must be a string, got {self.id!r}")
         if not self.id:
-            raise DataError("record id must be a non-empty string")
-        if not isinstance(self.year, int) or isinstance(self.year, bool) or self.year <= 0:
-            raise DataError(f"record {self.id!r}: year must be a positive integer")
+            raise DataError("empty record id")
+        year = self.year
+        if not isinstance(year, int) or isinstance(year, bool) or year <= 0:
+            raise DataError(f"record {self.id!r}: year must be a positive integer, got {year!r}")
         if not self.authors:
-            raise DataError(f"record {self.id!r}: author list is empty")
+            raise DataError(f"record {self.id!r} has no authors")
+        for name in self.authors:
+            if not isinstance(name, str):
+                raise DataError(f"record {self.id!r}: author {name!r} is not a string")
 
 
 @dataclass(frozen=True)
@@ -143,52 +155,36 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
-def _clean_authors(raw_names: Iterable[str], lineno: int, rec_id: str) -> tuple[str, ...]:
-    names = tuple(n for n in (normalize_author(s) for s in raw_names) if n)
-    if not names:
-        raise DataError(f"line {lineno}: record {rec_id!r} has no authors")
-    return names
+def _clean_authors(raw_names: Iterable[str]) -> tuple[str, ...]:
+    return tuple(filter(None, map(normalize_author, raw_names)))
 
 
-def _parse_pipe_line(line: str, lineno: int) -> PublicationRecord:
+def _parse_pipe_line(line: str) -> PublicationRecord:
     parts = line.split("|")
     if len(parts) != 3:
-        raise DataError(
-            f"line {lineno}: expected 3 '|'-separated columns (id|year|authors), got {len(parts)}"
-        )
-    rec_id = parts[0].strip()
-    if not rec_id:
-        raise DataError(f"line {lineno}: empty record id")
+        raise DataError(f"expected 3 '|'-separated columns (id|year|authors), got {len(parts)}")
     year_text = parts[1].strip()
     try:
         year = int(year_text)
     except ValueError:
-        raise DataError(f"line {lineno}: year {year_text!r} is not an integer") from None
-    if year <= 0:
-        raise DataError(f"line {lineno}: year must be positive, got {year}")
-    return PublicationRecord(rec_id, year, _clean_authors(parts[2].split(";"), lineno, rec_id))
+        raise DataError(f"year {year_text!r} is not an integer") from None
+    return PublicationRecord(parts[0].strip(), year, _clean_authors(parts[2].split(";")))
 
 
-def _parse_jsonl_line(line: str, lineno: int) -> PublicationRecord:
+def _parse_jsonl_line(line: str) -> PublicationRecord:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        raise DataError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(obj, dict):
-        raise DataError(f"line {lineno}: expected a JSON object")
+        raise DataError("expected a JSON object")
     missing = {"id", "year", "authors"} - obj.keys()
     if missing:
-        raise DataError(f"line {lineno}: missing keys {sorted(missing)}")
-    rec_id = obj["id"]
-    if not isinstance(rec_id, str) or not rec_id:
-        raise DataError(f"line {lineno}: id must be a non-empty string")
-    year = obj["year"]
-    if not isinstance(year, int) or isinstance(year, bool) or year <= 0:
-        raise DataError(f"line {lineno}: year must be a positive integer")
+        raise DataError(f"missing keys {sorted(missing)}")
     authors = obj["authors"]
     if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
-        raise DataError(f"line {lineno}: authors must be a list of strings")
-    return PublicationRecord(rec_id, year, _clean_authors(authors, lineno, rec_id))
+        raise DataError("authors must be a list of strings")
+    return PublicationRecord(obj["id"], obj["year"], _clean_authors(authors))
 
 
 def parse_records(data: bytes | str, fmt: str = "pipe") -> list[PublicationRecord]:
@@ -206,7 +202,10 @@ def parse_records(data: bytes | str, fmt: str = "pipe") -> list[PublicationRecor
         line = raw.strip()
         if not line:
             continue
-        rec = parse_line(line, lineno)
+        try:
+            rec = parse_line(line)
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
         if rec.id in seen:
             raise DataError(
                 f"line {lineno}: duplicate record id {rec.id!r} (first seen on line {seen[rec.id]})"
@@ -214,6 +213,36 @@ def parse_records(data: bytes | str, fmt: str = "pipe") -> list[PublicationRecor
         seen[rec.id] = lineno
         records.append(rec)
     return records
+
+
+def read_input(
+    data: bytes | str, kind: str = "auto"
+) -> list[PublicationRecord] | ProductivityDistribution:
+    """Records or a distribution table, whichever ``data`` holds.
+
+    ``kind`` is ``"pipe"``, ``"jsonl"``, ``"distribution"`` or ``"auto"``,
+    which tells them apart by the first content line.
+    """
+    text = _decode(data)
+    if kind == "auto":
+        # up to the next newline, then to any line boundary: no full split
+        first = re.search(r"\S[^\n]*", text)
+        if first is None:
+            raise DataError("input file is empty; pass --input-kind if this is intended")
+        line = first.group().splitlines()[0].strip()
+        if line.startswith("{"):
+            kind = "jsonl"
+        elif "|" in line:
+            kind = "pipe"
+        elif _is_header(line) or re.fullmatch(r"\d+,\d+", line.replace(" ", "")):
+            kind = "distribution"
+        else:
+            raise DataError(
+                f"cannot tell what kind of input {line[:40]!r} starts; pass --input-kind"
+            )
+    if kind == "distribution":
+        return load_distribution(text)
+    return parse_records(text, kind)
 
 
 def dump_records(records: Iterable[PublicationRecord]) -> str:
@@ -242,20 +271,22 @@ def count_productivity(
     method = CountingMethod(method)
     if not records:
         raise DataError("empty corpus: no records to count")
-    tally: Counter[str] = Counter()
-    for rec in records:
-        if method is CountingMethod.STRAIGHT:
-            tally[rec.authors[0]] += 1
-        else:
-            for name in rec.authors:
-                tally[name] += 1
-    freq = Counter(tally.values())
+    if method is CountingMethod.STRAIGHT:
+        credited = (rec.authors[0] for rec in records)
+    else:
+        credited = chain.from_iterable(rec.authors for rec in records)
+    freq = Counter(Counter(credited).values())
     points = tuple(sorted(freq.items()))
     return ProductivityDistribution(points, provenance=f"counted:{method.value}")
 
 
 # ---------------------------------------------------------------------------
 # distribution files
+
+def _is_header(line: str) -> bool:
+    """Whether a stripped line is the optional ``x,y`` distribution header."""
+    return line.replace(" ", "").lower() == "x,y"
+
 
 def load_distribution(data: bytes | str) -> ProductivityDistribution:
     """Parse a ``x,y`` distribution file. Rows may arrive unsorted."""
@@ -268,7 +299,7 @@ def load_distribution(data: bytes | str) -> ProductivityDistribution:
             continue
         if first_content:
             first_content = False
-            if line.replace(" ", "").lower() == "x,y":
+            if _is_header(line):
                 continue
         parts = line.split(",")
         if len(parts) != 2:
