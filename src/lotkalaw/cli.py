@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_flags(sub)
     sub.add_argument("--plot-out", default=None, help="also write plot-ready CSV here")
 
-    for name in ("ingest", "fit", "ks", "pattern", "report"):
+    for name in ("ingest", "fit", "ks", "report"):  # the commands that count records
         subs.choices[name].add_argument(
             "--counting",
             choices=[m.value for m in CountingMethod],
@@ -315,7 +315,7 @@ def cmd_report(args: argparse.Namespace) -> str:
         for row in result.rows
     ]
     doc = {
-        "input": {"path": args.input, "counting": args.counting},
+        "input": {"path": args.input, "counting": args.counting if records is not None else None},
         "distribution": dist.to_dict(),
         "fit": fit.to_dict(),
         "ks": ks_doc,
