@@ -251,7 +251,11 @@ def dump_records(records: Iterable[PublicationRecord]) -> str:
     for rec in records:
         obj = {"authors": list(rec.authors), "id": rec.id, "year": rec.year}
         lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+    text = "".join(line + "\n" for line in lines)
+    # json.dumps leaves these unescaped, but parse_records' splitlines() ends a line there
+    for char in "\x85\u2028\u2029":
+        text = text.replace(char, f"\\u{ord(char):04x}")
+    return text
 
 
 # ---------------------------------------------------------------------------

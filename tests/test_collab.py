@@ -59,6 +59,34 @@ def test_year_before_origin_rejected():
         authorship_pattern([_rec(0, 1993, 1)], origin_year=1995)
 
 
+def test_origin_error_names_the_first_early_record_in_list_order():
+    records = [_rec(0, 2001, 1), _rec(1, 1994, 2), _rec(2, 1990, 1)]
+    with pytest.raises(DataError, match=r"'p1'.*1994.*precedes.*1995"):
+        authorship_pattern(records, origin_year=1995)
+
+
+def test_year_beyond_64_bits_is_a_data_error():
+    with pytest.raises(DataError, match="64 bits"):
+        authorship_pattern([_rec(0, 2000, 1), _rec(1, 10**20, 1)])
+
+
+def test_pattern_and_metrics_match_a_per_record_tally():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        records = random_corpus(rng, max_authors=14)
+        period = int(rng.integers(1, 8))
+        origin = min(rec.year for rec in records) - int(rng.integers(0, 4))
+        table = authorship_pattern(records, period_length=period, origin_year=origin)
+        expected = np.zeros_like(table.counts)
+        for rec in records:
+            expected[min(len(rec.authors), 11) - 1, (rec.year - origin) // period] += 1
+        assert table.counts.tolist() == expected.tolist()
+        assert table.counts.shape[1] == (max(rec.year for rec in records) - origin) // period + 1
+        metrics = collab_metrics(records)
+        assert metrics.single_count == sum(len(rec.authors) == 1 for rec in records)
+        assert metrics.collaborative_index == sum(len(rec.authors) for rec in records) / len(records)
+
+
 def test_pattern_requires_records_and_sane_period():
     with pytest.raises(DataError, match="empty corpus"):
         authorship_pattern([])

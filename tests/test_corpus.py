@@ -1,21 +1,27 @@
 """Record parsing, counting methods and distribution file handling."""
 
+import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotkalaw import (
     CountingMethod,
     DataError,
     ProductivityDistribution,
     PublicationRecord,
+    corpus,
     count_productivity,
     dump_distribution,
     dump_records,
     load_distribution,
     normalize_author,
     parse_records,
+    read_input,
 )
 
 from conftest import random_corpus
@@ -93,9 +99,117 @@ def test_load_distribution_drops_utf8_byte_order_mark():
     assert dist.points == ((1, 9), (2, 3))
 
 
+# Each bad record sits on line 3, after two good ones; the message names
+# the line once (a duplicate id also names the first line) and the fault.
+_GOOD_PIPE = "P1|2005|A\nP2|2006|B\n"
+_GOOD_JSONL = dump_records([PublicationRecord("P1", 2005, ("A",)),
+                            PublicationRecord("P2", 2006, ("B",))])
+
+
+@pytest.mark.parametrize("fmt, bad, fault", [
+    ("pipe", "P3|2007", "3 '|'-separated columns"),
+    ("pipe", "P3|2007.5|C", "year '2007.5' is not an integer"),
+    ("pipe", "P3|0|C", "year must be a positive integer, got 0"),
+    ("pipe", " |2007|C", "empty record id"),
+    ("pipe", "P3|2007| ; ;", "record 'P3' has no authors"),
+    ("pipe", "P1|2007|C", "duplicate record id 'P1' (first seen on line 1)"),
+    ("jsonl", '{"id": "P3", "year": 2007, "authors": ["C"]', "invalid JSON"),
+    ("jsonl", '["P3", 2007, ["C"]]', "expected a JSON object"),
+    ("jsonl", '{"id": "P3", "authors": ["C"]}', "missing keys ['year']"),
+    ("jsonl", '{"id": 3, "year": 2007, "authors": ["C"]}', "record id must be a string, got 3"),
+    ("jsonl", '{"id": "P3", "year": true, "authors": ["C"]}', "year must be a positive integer"),
+    ("jsonl", '{"id": "P3", "year": 2007, "authors": ["C", 7]}', "authors must be a list of strings"),
+    ("jsonl", '{"id": "P3", "year": 2007, "authors": []}', "record 'P3' has no authors"),
+], ids=lambda v: v if v in ("pipe", "jsonl") else None)
+def test_record_faults_name_their_line_once(fmt, bad, fault):
+    good = _GOOD_PIPE if fmt == "pipe" else _GOOD_JSONL
+    with pytest.raises(DataError) as info:
+        parse_records(good + bad + "\n", fmt)
+    message = str(info.value)
+    assert message.startswith("line 3: ")
+    assert fault in message
+    assert message.count("line ") == (2 if "duplicate" in fault else 1)
+
+
 def test_parse_unknown_format():
     with pytest.raises(DataError, match="unknown record format"):
         parse_records("x", fmt="csv")
+
+
+# ---------------------------------------------------------------------------
+# any input
+
+@pytest.mark.parametrize("text, kind", [
+    ("P1|2005|A\n", "pipe"),
+    ('\n  {"id": "P1", "year": 2005, "authors": ["A"]}\n', "jsonl"),
+    ("x,y\n1,9\n", "distribution"),
+    ("\r\n\x0b 1 , 9 \r\n2,3\n", "distribution"),
+])
+def test_read_input_sniffs_the_first_content_line(text, kind):
+    expected = load_distribution(text) if kind == "distribution" else parse_records(text, kind)
+    assert read_input(text) == expected
+    assert read_input(text.encode("utf-8"), kind) == expected
+
+
+def test_read_input_explicit_kind_skips_sniffing():
+    with pytest.raises(DataError, match="line 1.*columns"):
+        read_input("x,y\n1,9\n", "pipe")
+    with pytest.raises(DataError, match="unknown record format"):
+        read_input("P1|2005|A\n", "csv")
+
+
+def test_read_input_rejects_empty_and_unknown_layouts():
+    with pytest.raises(DataError, match="input file is empty"):
+        read_input(" \n\r\n\x85")
+    with pytest.raises(DataError, match="cannot tell what kind of input 'hello world' starts"):
+        read_input("\n hello world \n1,2\n")
+
+
+def test_read_input_calls_the_module_parsers():
+    """Wrappers put on corpus.parse_records / load_distribution see every call."""
+    with mock.patch.object(corpus, "parse_records", return_value=["records"]) as parse:
+        assert read_input(b"P1|2005|A\n") == ["records"]
+    parse.assert_called_once_with("P1|2005|A\n", "pipe")
+    with mock.patch.object(corpus, "load_distribution", return_value="table") as load:
+        assert read_input("1,2\n") == "table"
+    load.assert_called_once_with("1,2\n")
+
+
+def _first_line_kind(text: str) -> str:
+    """Reference sniffer: splits the whole text, then takes the first non-blank line."""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line:
+            if line.startswith("{"):
+                return "jsonl"
+            if "|" in line:
+                return "pipe"
+            squeezed = line.replace(" ", "").lower()
+            if squeezed == "x,y" or re.fullmatch(r"\d+,\d+", squeezed):
+                return "distribution"
+            return "unknown"
+    return "empty"
+
+
+_SNIFF_ALPHABET = st.sampled_from(
+    ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ", "\t", "\u3000",
+     "{", "|", ",", "x", "Y", "1", "9", "\u0663", "a"]
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(_SNIFF_ALPHABET, max_size=14).map("".join))
+def test_read_input_sniffs_like_a_full_split(text):
+    def kind_seen(text, kind="distribution"):
+        return kind
+
+    with mock.patch.object(corpus, "parse_records", kind_seen), \
+            mock.patch.object(corpus, "load_distribution", kind_seen):
+        try:
+            kind = read_input(text)
+        except DataError as exc:
+            kind = "empty" if "empty" in str(exc) else "unknown"
+    assert kind == _first_line_kind(text)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +247,27 @@ def test_jsonl_rejects_bool_year():
 def test_jsonl_rejects_non_string_authors():
     with pytest.raises(DataError, match="authors"):
         parse_records('{"id": "P1", "year": 2005, "authors": [1]}', fmt="jsonl")
+
+
+def test_jsonl_round_trip_escapes_unicode_line_separators():
+    records = [PublicationRecord("a\x85b\u2028c\u2029d", 2005, ("Smith J",))]
+    text = dump_records(records)
+    assert text.count("\n") == 1 and len(text.splitlines()) == 1
+    assert parse_records(text, fmt="jsonl") == records
+
+
+_NAMES = st.text(min_size=1, max_size=12).map(normalize_author).filter(bool)
+_RECORDS = st.lists(
+    st.builds(PublicationRecord, st.text(min_size=1, max_size=12),
+              st.integers(1, 3000), st.lists(_NAMES, min_size=1, max_size=5).map(tuple)),
+    max_size=8, unique_by=lambda rec: rec.id,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_RECORDS)
+def test_jsonl_round_trip_property(records):
+    assert parse_records(dump_records(records), fmt="jsonl") == records
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +319,17 @@ def test_counting_random_corpora_match_brute_force():
         straight = count_productivity(records, CountingMethod.STRAIGHT)
         assert complete.total_contributions == sum(len(r.authors) for r in records)
         assert straight.total_contributions == len(records)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_RECORDS.filter(bool))
+def test_counting_totals_property(records):
+    complete = count_productivity(records, CountingMethod.COMPLETE)
+    assert complete.total_contributions == sum(len(rec.authors) for rec in records)
+    assert complete.total_authors == len({name for rec in records for name in rec.authors})
+    straight = count_productivity(records, CountingMethod.STRAIGHT)
+    assert straight.total_contributions == len(records)
+    assert straight.total_authors == len({rec.authors[0] for rec in records})
 
 
 def test_counting_order_invariance():
@@ -282,3 +428,12 @@ def test_record_invariants():
         PublicationRecord("P1", -3, ("A",))
     with pytest.raises(DataError):
         PublicationRecord("P1", 2000, ())
+
+
+def test_record_rejects_what_its_dump_cannot_parse():
+    with pytest.raises(DataError, match="record id must be a string, got 5"):
+        PublicationRecord(5, 2000, ("A",))
+    with pytest.raises(DataError, match="record 'P1': author 7 is not a string"):
+        PublicationRecord("P1", 2000, ("A", 7))
+    with pytest.raises(DataError, match="year must be a positive integer, got True"):
+        PublicationRecord("P1", True, ("A",))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
 from lotkalaw import (
@@ -82,6 +84,27 @@ def test_fit_scale_equivariance(cad_distribution):
     up = fit_exponent_lsq(scaled)
     assert up.n == pytest.approx(base.n, abs=1e-12)
     assert up.intercept == pytest.approx(base.intercept + 3.0, abs=1e-9)
+
+
+@st.composite
+def _falling_tables(draw) -> ProductivityDistribution:
+    """Levels 1 < x2 < ... <= 200 with counts that fall strictly as x grows.
+
+    The levels start at 1, as observed tables do. The fit's uncentered sums
+    cancel when every log x sits close together far from 0 (levels 190..200
+    lose up to about 3e-9 in n under a count factor), so such tables would
+    measure that rounding, not the invariance.
+    """
+    xs = [1, *sorted(draw(st.sets(st.integers(2, 200), min_size=1, max_size=30)))]
+    counts = draw(st.sets(st.integers(1, 10**6), min_size=len(xs), max_size=len(xs)))
+    return ProductivityDistribution(tuple(zip(xs, sorted(counts, reverse=True))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_falling_tables(), st.integers(2, 1000))
+def test_fit_exponent_ignores_a_common_count_factor(dist, factor):
+    scaled = ProductivityDistribution(tuple((x, y * factor) for x, y in dist.points))
+    assert fit_exponent_lsq(scaled).n == pytest.approx(fit_exponent_lsq(dist).n, rel=0, abs=1e-12)
 
 
 def test_fit_truncation_drops_tail(cad_distribution):
