@@ -4,101 +4,24 @@ Count papers per author from publication records, fit the inverse power
 law y = C / x**n, test the fit with Kolmogorov-Smirnov statistics,
 summarize collaboration patterns, and generate synthetic corpora with
 known exponents.
+
+Each module's ``__all__`` is its public surface; the package re-exports
+all of them, so a public name is declared in one place.
 """
 
-from .collab import (
-    BUCKET_LABELS,
-    AuthorshipPatternTable,
-    CollabMetrics,
-    authorship_pattern,
-    collab_metrics,
-    render_pattern_csv,
-)
-from .corpus import (
-    CountingMethod,
-    ProductivityDistribution,
-    PublicationRecord,
-    count_productivity,
-    dump_distribution,
-    dump_records,
-    load_distribution,
-    normalize_author,
-    parse_records,
-    read_input,
-)
+from . import collab, corpus, gof, lotka, synth
+from .collab import *
+from .corpus import *
 from .errors import DataError, LotkaLawError, NumericError
-from .gof import (
-    COEFFICIENT_PRESETS,
-    KSReportRow,
-    KSResult,
-    critical_value,
-    ks_report,
-    ks_statistic_cumulative,
-    ks_statistic_pointwise,
-    render_report_csv,
-    run_ks,
-)
-from .lotka import (
-    EULER_MACLAURIN_CUTOFF,
-    LotkaFit,
-    RegressionSums,
-    compute_constant,
-    expected_distribution,
-    expected_proportion,
-    fit_exponent_lsq,
-    fit_power_law,
-)
-from .synth import (
-    SynthSpec,
-    exact_distribution,
-    sample_distribution,
-    truncated_constant,
-    truncated_probabilities,
-)
+from .gof import *
+from .lotka import *
+from .synth import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuthorshipPatternTable",
-    "BUCKET_LABELS",
-    "COEFFICIENT_PRESETS",
-    "CollabMetrics",
-    "CountingMethod",
-    "DataError",
-    "EULER_MACLAURIN_CUTOFF",
-    "KSReportRow",
-    "KSResult",
-    "LotkaFit",
-    "LotkaLawError",
-    "NumericError",
-    "ProductivityDistribution",
-    "PublicationRecord",
-    "RegressionSums",
-    "SynthSpec",
-    "authorship_pattern",
-    "collab_metrics",
-    "compute_constant",
-    "count_productivity",
-    "critical_value",
-    "dump_distribution",
-    "dump_records",
-    "exact_distribution",
-    "expected_distribution",
-    "expected_proportion",
-    "fit_exponent_lsq",
-    "fit_power_law",
-    "ks_report",
-    "ks_statistic_cumulative",
-    "ks_statistic_pointwise",
-    "load_distribution",
-    "normalize_author",
-    "parse_records",
-    "read_input",
-    "render_pattern_csv",
-    "render_report_csv",
-    "run_ks",
-    "sample_distribution",
-    "truncated_constant",
-    "truncated_probabilities",
-    "__version__",
-]
+__all__ = ["DataError", "LotkaLawError", "NumericError", "__version__"]
+__all__ += collab.__all__
+__all__ += corpus.__all__
+__all__ += gof.__all__
+__all__ += lotka.__all__
+__all__ += synth.__all__
