@@ -68,7 +68,9 @@ def normalize_author(name: str) -> str:
 class PublicationRecord:
     """One publication: an id, a year and the ordered author list.
 
-    The one check of a record's fields, also for parsed records.
+    Construction is the one check of the fields, parsed records included:
+    a non-empty string id, a positive integer year and at least one
+    author, every author a string.
     """
 
     id: str
@@ -220,8 +222,10 @@ def read_input(
 ) -> list[PublicationRecord] | ProductivityDistribution:
     """Records or a distribution table, whichever ``data`` holds.
 
-    ``kind`` is ``"pipe"``, ``"jsonl"``, ``"distribution"`` or ``"auto"``,
-    which tells them apart by the first content line.
+    ``kind`` is ``"pipe"``, ``"jsonl"``, ``"distribution"`` or ``"auto"``.
+    Auto reads the first line that is not blank: ``{`` starts JSON
+    lines, a ``|`` marks pipe records, and ``x,y`` or two integers
+    start a table; anything else raises :class:`DataError`.
     """
     text = _decode(data)
     if kind == "auto":

@@ -120,7 +120,10 @@ _GOOD_JSONL = dump_records([PublicationRecord("P1", 2005, ("A",)),
     ("jsonl", '{"id": "P3", "year": true, "authors": ["C"]}', "year must be a positive integer"),
     ("jsonl", '{"id": "P3", "year": 2007, "authors": ["C", 7]}', "authors must be a list of strings"),
     ("jsonl", '{"id": "P3", "year": 2007, "authors": []}', "record 'P3' has no authors"),
-], ids=lambda v: v if v in ("pipe", "jsonl") else None)
+], ids=["pipe-columns", "pipe-year-text", "pipe-year-zero", "pipe-empty-id",
+        "pipe-no-authors", "pipe-duplicate-id", "jsonl-invalid", "jsonl-not-object",
+        "jsonl-missing-key", "jsonl-id-not-string", "jsonl-bool-year",
+        "jsonl-author-not-string", "jsonl-no-authors"])
 def test_record_faults_name_their_line_once(fmt, bad, fault):
     good = _GOOD_PIPE if fmt == "pipe" else _GOOD_JSONL
     with pytest.raises(DataError) as info:
