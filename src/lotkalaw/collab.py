@@ -8,7 +8,8 @@ and the collaborative index (mean authors per record).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,39 +30,37 @@ BUCKET_LABELS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", ">10")
 
 @dataclass(frozen=True)
 class AuthorshipPatternTable:
-    """Counts matrix of shape (11 buckets, period count), plus labels.
+    """Counts matrix of shape (11 buckets, period count), plus margins.
 
     Periods are half-open ranges of ``period_length`` consecutive years
     starting at ``origin_year``; ``period_bins`` holds inclusive
     (start, end) year pairs. Interior periods with no records are kept
-    as zero columns so the time axis stays contiguous.
+    as zero columns so the time axis stays contiguous. Rows are labelled
+    by the class constant ``bucket_labels``. Built once, read-only like
+    ``counts``: ``row_totals``, ``column_totals``, ``grand_total`` (the
+    record count) and the shares of all records in percent,
+    ``bucket_percentages`` (per bucket) and ``period_percentages``.
     """
 
+    bucket_labels: ClassVar[tuple[str, ...]] = BUCKET_LABELS
     counts: np.ndarray
     period_bins: tuple[tuple[int, int], ...]
-    bucket_labels: tuple[str, ...] = BUCKET_LABELS
+    row_totals: np.ndarray = field(init=False, repr=False, compare=False)
+    column_totals: np.ndarray = field(init=False, repr=False, compare=False)
+    grand_total: int = field(init=False, repr=False, compare=False)
+    bucket_percentages: np.ndarray = field(init=False, repr=False, compare=False)
+    period_percentages: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def column_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    @property
-    def grand_total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def bucket_percentages(self) -> np.ndarray:
-        """Each bucket's share of all records, in percent."""
-        return 100.0 * self.row_totals / self.grand_total
-
-    @property
-    def period_percentages(self) -> np.ndarray:
-        """Each period's share of all records, in percent."""
-        return 100.0 * self.column_totals / self.grand_total
+    def __post_init__(self) -> None:
+        counts = np.array(self.counts)
+        rows, columns, total = counts.sum(axis=1), counts.sum(axis=0), int(counts.sum())
+        object.__setattr__(self, "grand_total", total)
+        for name, array in zip(
+            ("counts", "row_totals", "column_totals", "bucket_percentages", "period_percentages"),
+            (counts, rows, columns, 100.0 * rows / total, 100.0 * columns / total),
+        ):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def to_dict(self) -> dict:
         return {
@@ -145,11 +144,9 @@ def render_pattern_csv(table: AuthorshipPatternTable) -> str:
     """CSV text of the pattern matrix with total and percentage margins."""
     period_headers = [f"{start}-{end}" for start, end in table.period_bins]
     lines = ["authors," + ",".join(period_headers) + ",total,share_pct"]
-    for i, label in enumerate(table.bucket_labels):
-        cells = ",".join(str(v) for v in table.counts[i])
-        lines.append(
-            f"{label},{cells},{int(table.row_totals[i])},{table.bucket_percentages[i]:.2f}"
-        )
+    for label, cells, total, share in zip(table.bucket_labels, table.counts.tolist(),
+                                          table.row_totals.tolist(), table.bucket_percentages):
+        lines.append(f"{label},{','.join(map(str, cells))},{total},{share:.2f}")
     col_cells = ",".join(str(v) for v in table.column_totals)
     lines.append(f"total,{col_cells},{table.grand_total},100.00")
     pct_cells = ",".join(f"{v:.2f}" for v in table.period_percentages)

@@ -9,14 +9,16 @@ Two record formats are supported:
 
     Column 1 is an opaque non-empty identifier, column 2 a positive
     integer year, column 3 the ordered author list separated by ``;``.
-    Author names are cleaned by collapsing runs of whitespace; empty
-    name slots are dropped.
 
 ``jsonl``
     One JSON object per line with keys ``id`` (non-empty string),
     ``year`` (positive integer) and ``authors`` (non-empty list of
     strings). This is what :func:`dump_records` writes, and parsing its
     output reproduces the original records exactly.
+
+Every record, parsed or built by hand, cleans its own author names:
+:func:`normalize_author` collapses runs of whitespace and empty name
+slots are dropped, so the same names count as one author either way.
 
 Distribution files are comma-separated ``x,y`` rows with an optional
 ``x,y`` header line: ``x`` is a productivity level (papers per author),
@@ -69,8 +71,9 @@ class PublicationRecord:
     """One publication: an id, a year and the ordered author list.
 
     Construction is the one check of the fields, parsed records included:
-    a non-empty string id, a positive integer year and at least one
-    author, every author a string.
+    a non-empty string id, a positive integer year and an iterable (not
+    a bare string) of string names, cleaned with :func:`normalize_author`
+    into a tuple with empty slots dropped; at least one must be left.
     """
 
     id: str
@@ -78,7 +81,6 @@ class PublicationRecord:
     authors: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "authors", tuple(self.authors))
         if not isinstance(self.id, str):
             raise DataError(f"record id must be a string, got {self.id!r}")
         if not self.id:
@@ -86,11 +88,16 @@ class PublicationRecord:
         year = self.year
         if not isinstance(year, int) or isinstance(year, bool) or year <= 0:
             raise DataError(f"record {self.id!r}: year must be a positive integer, got {year!r}")
-        if not self.authors:
-            raise DataError(f"record {self.id!r} has no authors")
-        for name in self.authors:
+        if isinstance(self.authors, str):
+            raise DataError(f"record {self.id!r}: authors must be a list of names, not a string")
+        names = tuple(self.authors)
+        for name in names:
             if not isinstance(name, str):
                 raise DataError(f"record {self.id!r}: author {name!r} is not a string")
+        authors = tuple(filter(None, map(normalize_author, names)))
+        if not authors:
+            raise DataError(f"record {self.id!r} has no authors")
+        object.__setattr__(self, "authors", authors)
 
 
 @dataclass(frozen=True)
@@ -157,10 +164,6 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
-def _clean_authors(raw_names: Iterable[str]) -> tuple[str, ...]:
-    return tuple(filter(None, map(normalize_author, raw_names)))
-
-
 def _parse_pipe_line(line: str) -> PublicationRecord:
     parts = line.split("|")
     if len(parts) != 3:
@@ -170,7 +173,7 @@ def _parse_pipe_line(line: str) -> PublicationRecord:
         year = int(year_text)
     except ValueError:
         raise DataError(f"year {year_text!r} is not an integer") from None
-    return PublicationRecord(parts[0].strip(), year, _clean_authors(parts[2].split(";")))
+    return PublicationRecord(parts[0].strip(), year, parts[2].split(";"))
 
 
 def _parse_jsonl_line(line: str) -> PublicationRecord:
@@ -186,7 +189,7 @@ def _parse_jsonl_line(line: str) -> PublicationRecord:
     authors = obj["authors"]
     if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
         raise DataError("authors must be a list of strings")
-    return PublicationRecord(obj["id"], obj["year"], _clean_authors(authors))
+    return PublicationRecord(obj["id"], obj["year"], authors)
 
 
 def parse_records(data: bytes | str, fmt: str = "pipe") -> list[PublicationRecord]:

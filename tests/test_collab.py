@@ -1,10 +1,13 @@
 """Authorship pattern bucketing and collaboration metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lotkalaw import (
     BUCKET_LABELS,
+    AuthorshipPatternTable,
     DataError,
     PublicationRecord,
     authorship_pattern,
@@ -125,6 +128,36 @@ def test_reference_collab_metrics(pattern_records):
     # builder gives ">10" records exactly 11 authors
     total_authors = sum(len(r.authors) for r in pattern_records)
     assert metrics.collaborative_index == pytest.approx(total_authors / 1284, rel=1e-12)
+
+
+_MARGINS = ("row_totals", "column_totals", "grand_total", "bucket_percentages",
+            "period_percentages")
+
+
+def test_pattern_margins_are_read_only_fields():
+    table = authorship_pattern([_rec(0, 1990, 1), _rec(1, 2002, 3)])
+    fields = {f.name: f for f in dataclasses.fields(table)}
+    for name in _MARGINS:
+        assert not fields[name].init
+        assert not isinstance(getattr(AuthorshipPatternTable, name, None), property)
+    assert table.row_totals is table.row_totals
+    for name in ("counts", *_MARGINS):
+        if name != "grand_total":
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.grand_total = 5
+    assert table.grand_total == 2 and type(table.grand_total) is int
+    assert table.column_totals.tolist() == [1, 0, 1]
+    assert table.period_percentages.tolist() == [50.0, 0.0, 50.0]
+
+
+def test_pattern_bucket_labels_are_a_class_constant():
+    table = authorship_pattern([_rec(0, 2000, 1)])
+    assert table.bucket_labels == BUCKET_LABELS == AuthorshipPatternTable.bucket_labels
+    assert "bucket_labels" not in {f.name for f in dataclasses.fields(table)}
+    with pytest.raises(TypeError):
+        AuthorshipPatternTable(table.counts, table.period_bins, BUCKET_LABELS)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,26 @@ def test_jsonl_round_trip_property(records):
     assert parse_records(dump_records(records), fmt="jsonl") == records
 
 
+# raw names as a caller might pass them: padded, empty, Unicode whitespace
+_PADDING = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003", "\u3000"])
+_RAW_NAMES = st.one_of(
+    st.text(max_size=12),
+    st.tuples(_PADDING, st.text(max_size=8), _PADDING, st.text(max_size=4), _PADDING).map("".join),
+)
+_RAW_RECORDS = st.lists(
+    st.builds(PublicationRecord, st.text(min_size=1, max_size=12), st.integers(1, 3000),
+              st.lists(_RAW_NAMES, min_size=1, max_size=5).filter(
+                  lambda names: any(map(normalize_author, names)))),
+    max_size=8, unique_by=lambda rec: rec.id,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_RAW_RECORDS)
+def test_jsonl_round_trip_of_raw_names_property(records):
+    assert parse_records(dump_records(records), fmt="jsonl") == records
+
+
 # ---------------------------------------------------------------------------
 # counting
 
@@ -440,3 +460,29 @@ def test_record_rejects_what_its_dump_cannot_parse():
         PublicationRecord("P1", 2000, ("A", 7))
     with pytest.raises(DataError, match="year must be a positive integer, got True"):
         PublicationRecord("P1", True, ("A",))
+
+
+def test_record_cleans_its_own_author_names():
+    record = PublicationRecord("P1", 2000, [" Smith  J ", "", "\u3000", "Jones\tK"])
+    assert record.authors == ("Smith J", "Jones K")
+    with pytest.raises(DataError, match="record 'P1' has no authors"):
+        PublicationRecord("P1", 2000, (" ", ""))
+
+
+def test_hand_built_and_parsed_records_count_alike():
+    built = [PublicationRecord("P1", 2000, ("Smith J",)),
+             PublicationRecord("P2", 2001, ("Smith  J",))]
+    parsed = parse_records("P1|2000|Smith J\nP2|2001|Smith  J\n")
+    assert built == parsed
+    assert count_productivity(built).points == count_productivity(parsed).points == ((2, 1),)
+
+
+def test_record_rejects_a_bare_string_author_list():
+    with pytest.raises(DataError, match="record 'P1': authors must be a list of names"):
+        PublicationRecord("P1", 2000, "Smith")
+
+
+def test_record_accepts_a_generator_of_names():
+    record = PublicationRecord("P1", 2000, (name for name in (" A ", "", "B")))
+    assert record.authors == ("A", "B")
+    assert record == PublicationRecord("P1", 2000, ("A", "B"))
