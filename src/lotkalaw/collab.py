@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 BUCKET_LABELS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", ">10")
+_MAX_PERIODS = 10_000  # every four-digit year at one-year periods
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,15 @@ def authorship_pattern(
 
     ``origin_year`` anchors the first period and defaults to the
     earliest year in the corpus. A record dated before the origin has no
-    period to land in and raises DataError naming the record.
+    period to land in and raises DataError naming the record, as do an
+    origin below 1 and a table of more than 10,000 periods.
     """
     if not records:
         raise DataError("empty corpus: no records to bucket")
     if period_length < 1:
         raise DataError(f"period_length must be >= 1, got {period_length}")
+    if origin_year is not None and origin_year < 1:
+        raise DataError(f"origin year must be positive, got {origin_year}")
     try:
         years = np.fromiter((rec.year for rec in records), np.int64, len(records))
     except OverflowError:
@@ -111,10 +115,14 @@ def authorship_pattern(
     if early.size:
         rec = records[early[0]]
         raise DataError(f"record {rec.id!r}: year {rec.year} precedes origin year {origin}")
-    n_periods = (int(years.max()) - origin) // period_length + 1
-    # bucket b (author counts 1..10, then ">10") and period p share one flat index
+    span = int(years.max()) - origin
+    n_periods = span // period_length + 1
+    if n_periods > _MAX_PERIODS:
+        raise DataError(f"the table would have {n_periods} periods, more than {_MAX_PERIODS}")
+    # bucket b (author counts 1..10, then ">10") and period p share one flat index;
+    # a period longer than the span indexes as span + 1, so the divisor fits in int64
     buckets = np.minimum(sizes, len(BUCKET_LABELS)) - 1
-    flat = buckets * n_periods + (years - origin) // period_length
+    flat = buckets * n_periods + (years - origin) // min(period_length, span + 1)
     counts = np.bincount(flat, minlength=len(BUCKET_LABELS) * n_periods)
     counts = counts.reshape(len(BUCKET_LABELS), n_periods)
     bins = tuple(

@@ -241,6 +241,27 @@ def test_pattern_rejects_distribution_input(capsys):
 # ---------------------------------------------------------------------------
 # report
 
+@pytest.mark.parametrize("origin", ["-100000000000000000000", "0"])
+def test_pattern_origin_below_one_exits_2(capsys, origin):
+    code, out, err = run(capsys, "pattern", "--input", SAMPLE, "--origin", origin)
+    assert code == 2 and out == ""
+    assert err == f"data error: origin year must be positive, got {int(origin)}\n"
+
+
+def test_pattern_period_longer_than_the_span_gives_one_period(capsys):
+    code, out, err = run(capsys, "pattern", "--input", SAMPLE, "--period", str(10**20))
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == f"authors,1991-{1990 + 10**20},total,share_pct"
+
+
+def test_pattern_with_too_many_periods_exits_2(capsys, tmp_path):
+    path = tmp_path / "wide.psv"
+    path.write_text("P1|1|A\nP2|100000000000|B\n", encoding="utf-8")
+    code, out, err = run(capsys, "pattern", "--input", str(path), "--period", "1")
+    assert code == 2 and out == ""
+    assert err == "data error: the table would have 100000000000 periods, more than 10000\n"
+
+
 def test_report_document(capsys, tmp_path):
     plot = tmp_path / "plot.csv"
     code, out, err = run(capsys, "report", "--input", CAD, "--preset", "paper",

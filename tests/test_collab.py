@@ -73,6 +73,28 @@ def test_year_beyond_64_bits_is_a_data_error():
         authorship_pattern([_rec(0, 2000, 1), _rec(1, 10**20, 1)])
 
 
+def test_origin_below_one_is_a_data_error():
+    with pytest.raises(DataError, match="origin year must be positive, got -100000000000000000000"):
+        authorship_pattern([_rec(0, 2000, 1)], origin_year=-10**20)
+    with pytest.raises(DataError, match="origin year must be positive, got 0"):
+        authorship_pattern([_rec(0, 2000, 1)], origin_year=0)
+
+
+def test_period_longer_than_the_span_gives_one_period():
+    table = authorship_pattern([_rec(0, 1991, 1), _rec(1, 2010, 2)], period_length=10**20)
+    assert table.counts.tolist() == [[1], [1]] + [[0]] * 9
+    assert table.period_bins == ((1991, 1991 + 10**20 - 1),)
+
+
+def test_too_many_periods_is_a_data_error():
+    with pytest.raises(DataError, match="100000000000 periods"):
+        authorship_pattern([_rec(0, 1, 1), _rec(1, 10**11, 1)], period_length=1)
+    with pytest.raises(DataError, match="10001 periods, more than 10000"):
+        authorship_pattern([_rec(0, 1, 1), _rec(1, 10_001, 1)], period_length=1)
+    table = authorship_pattern([_rec(0, 1, 1), _rec(1, 10_000, 1)], period_length=1)
+    assert table.counts.shape == (11, 10_000) and table.grand_total == 2
+
+
 def test_pattern_and_metrics_match_a_per_record_tally():
     rng = np.random.default_rng(2024)
     for _ in range(40):
