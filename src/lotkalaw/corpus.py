@@ -123,12 +123,15 @@ class ProductivityDistribution:
     total_contributions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = tuple((int(x), int(y)) for x, y in self.points)
+        given = [tuple(p) for p in self.points]
+        pts = tuple((int(x), int(y)) for x, y in given)
         object.__setattr__(self, "points", pts)
         if not pts:
             raise DataError("distribution has no rows")
         prev = 0
-        for x, y in pts:
+        for (x, y), (gx, gy) in zip(pts, given):
+            if x != gx or y != gy:
+                raise DataError(f"x and y must be whole numbers, got x={gx}, y={gy}")
             if x <= prev:
                 raise DataError(f"x values must be strictly increasing and >= 1, got {x}")
             if y < 1:

@@ -433,6 +433,19 @@ def test_distribution_totals():
     assert dist.total_contributions == 3 + 8
 
 
+def test_distribution_rejects_fractional_points():
+    with pytest.raises(DataError, match="whole numbers, got x=1, y=10.9"):
+        ProductivityDistribution(((1, 10.9), (2.5, 3), (3, 1)))
+    with pytest.raises(DataError, match="whole numbers, got x=2.5, y=3"):
+        ProductivityDistribution(((1, 10), (2.5, 3), (3, 1)))
+    with pytest.raises(DataError, match="whole numbers"):
+        ProductivityDistribution(np.array([[1.0, 3.5]]))
+    whole = ((1, 10), (2, 3), (3, 1))
+    for points in (((1.0, 10.0), (2.0, 3.0), (3.0, 1.0)), np.array(whole),
+                   np.array(whole, dtype=np.int32), np.array(whole, dtype=np.float64)):
+        assert ProductivityDistribution(points).points == whole
+
+
 def test_distribution_columns_are_built_once_and_read_only():
     dist = ProductivityDistribution(((1, 3), (4, 2)))
     assert dist.xs is dist.xs and dist.ys is dist.ys
