@@ -104,7 +104,7 @@ class PublicationRecord:
 class ProductivityDistribution:
     """Frequency table of author productivity.
 
-    ``points`` holds ``(x, y)`` pairs with strictly increasing positive
+    ``points`` holds whole ``(x, y)`` pairs, strictly increasing positive
     ``x`` and positive ``y``; gaps in ``x`` mean zero authors there.
     ``provenance`` says where the table came from (loaded file, counted
     corpus, synthetic draw) and never affects any computation.
