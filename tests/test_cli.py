@@ -238,9 +238,6 @@ def test_pattern_rejects_distribution_input(capsys):
     assert "requires records" in err
 
 
-# ---------------------------------------------------------------------------
-# report
-
 @pytest.mark.parametrize("origin", ["-100000000000000000000", "0"])
 def test_pattern_origin_below_one_exits_2(capsys, origin):
     code, out, err = run(capsys, "pattern", "--input", SAMPLE, "--origin", origin)
@@ -261,6 +258,9 @@ def test_pattern_with_too_many_periods_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == "data error: the table would have 100000000000 periods, more than 10000\n"
 
+
+# ---------------------------------------------------------------------------
+# report
 
 def test_report_document(capsys, tmp_path):
     plot = tmp_path / "plot.csv"
