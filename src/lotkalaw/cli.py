@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .collab import authorship_pattern, collab_metrics, render_pattern_csv
 from .corpus import (
+    Corpus,
     CountingMethod,
     ProductivityDistribution,
-    PublicationRecord,
     count_productivity,
     dump_distribution,
     read_input,
@@ -202,7 +202,7 @@ def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 # input handling
 
-def _load_input(args: argparse.Namespace) -> list[PublicationRecord] | ProductivityDistribution:
+def _load_input(args: argparse.Namespace) -> Corpus | ProductivityDistribution:
     try:
         data = Path(args.input).read_bytes()
     except OSError as exc:
@@ -210,9 +210,7 @@ def _load_input(args: argparse.Namespace) -> list[PublicationRecord] | Productiv
     return read_input(data, args.input_kind)
 
 
-def _distribution_for(args: argparse.Namespace) -> tuple[
-    ProductivityDistribution, list[PublicationRecord] | None
-]:
+def _distribution_for(args: argparse.Namespace) -> tuple[ProductivityDistribution, Corpus | None]:
     """The table to fit, and the records it was counted from (None for a table)."""
     loaded = _load_input(args)
     if isinstance(loaded, ProductivityDistribution):

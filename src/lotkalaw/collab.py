@@ -9,11 +9,11 @@ and the collaborative index (mean authors per record).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 import numpy as np
 
-from .corpus import PublicationRecord
+from .corpus import Corpus, PublicationRecord
 from .errors import DataError
 
 __all__ = [
@@ -29,7 +29,7 @@ BUCKET_LABELS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", ">10")
 _MAX_PERIODS = 10_000  # every four-digit year at one-year periods
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuthorshipPatternTable:
     """Counts matrix of shape (11 buckets, period count), plus margins.
 
@@ -63,6 +63,11 @@ class AuthorshipPatternTable:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
+    def __eq__(self, other):
+        if not isinstance(other, AuthorshipPatternTable):
+            return NotImplemented
+        return self.period_bins == other.period_bins and np.array_equal(self.counts, other.counts)
+
     def to_dict(self) -> dict:
         return {
             "bucket_labels": list(self.bucket_labels),
@@ -88,7 +93,7 @@ class CollabMetrics:
 
 
 def authorship_pattern(
-    records: list[PublicationRecord],
+    records: Iterable[PublicationRecord],
     period_length: int = 5,
     origin_year: int | None = None,
 ) -> AuthorshipPatternTable:
@@ -99,22 +104,19 @@ def authorship_pattern(
     period to land in and raises DataError naming the record, as do an
     origin below 1 and a table of more than 10,000 periods.
     """
-    if not records:
+    corpus = Corpus.from_records(records)
+    if not corpus:
         raise DataError("empty corpus: no records to bucket")
     if period_length < 1:
         raise DataError(f"period_length must be >= 1, got {period_length}")
     if origin_year is not None and origin_year < 1:
         raise DataError(f"origin year must be positive, got {origin_year}")
-    try:
-        years = np.fromiter((rec.year for rec in records), np.int64, len(records))
-    except OverflowError:
-        raise DataError("a record year does not fit in 64 bits") from None
-    sizes = np.fromiter((len(rec.authors) for rec in records), np.int64, len(records))
+    years, sizes = corpus.years, np.diff(corpus.offsets)
     origin = int(years.min()) if origin_year is None else origin_year
     early = np.flatnonzero(years < origin)
     if early.size:
-        rec = records[early[0]]
-        raise DataError(f"record {rec.id!r}: year {rec.year} precedes origin year {origin}")
+        i = early[0]
+        raise DataError(f"record {corpus.ids[i]!r}: year {years[i]} precedes origin year {origin}")
     span = int(years.max()) - origin
     n_periods = span // period_length + 1
     if n_periods > _MAX_PERIODS:
@@ -132,19 +134,19 @@ def authorship_pattern(
     return AuthorshipPatternTable(counts=counts, period_bins=bins)
 
 
-def collab_metrics(records: list[PublicationRecord]) -> CollabMetrics:
+def collab_metrics(records: Iterable[PublicationRecord]) -> CollabMetrics:
     """Degree of collaboration and collaborative index for a corpus."""
-    if not records:
+    corpus = Corpus.from_records(records)
+    if not corpus:
         raise DataError("empty corpus: no records to summarize")
-    sizes = np.fromiter((len(rec.authors) for rec in records), np.int64, len(records))
+    sizes = np.diff(corpus.offsets)
     single = int(np.count_nonzero(sizes == 1))
-    multi = len(records) - single
-    total_authors = int(sizes.sum())
+    multi = len(corpus) - single
     return CollabMetrics(
         single_count=single,
         multi_count=multi,
-        degree_of_collaboration=multi / len(records),
-        collaborative_index=total_authors / len(records),
+        degree_of_collaboration=multi / len(corpus),
+        collaborative_index=len(corpus.names) / len(corpus),
     )
 
 

@@ -16,7 +16,8 @@ Two record formats are supported:
     strings). This is what :func:`dump_records` writes, and parsing its
     output reproduces the original records exactly.
 
-Every record, parsed or built by hand, cleans its own author names:
+:func:`parse_records` returns the records as the columns of a
+:class:`Corpus`. Every record, parsed or built by hand, cleans its names:
 :func:`normalize_author` collapses runs of whitespace and empty name
 slots are dropped, so the same names count as one author either way.
 
@@ -30,10 +31,13 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain
+from json.encoder import encode_basestring as _json_string
 from typing import Iterable
 
 import numpy as np
@@ -42,6 +46,7 @@ from .errors import DataError
 
 __all__ = [
     "CountingMethod",
+    "Corpus",
     "PublicationRecord",
     "ProductivityDistribution",
     "normalize_author",
@@ -66,14 +71,37 @@ def normalize_author(name: str) -> str:
     return " ".join(name.split())
 
 
+def _check_record(rid, year, authors) -> list[str]:
+    """Cleaned names of a valid record; the one check of parsed and hand-built records."""
+    if not isinstance(rid, str):
+        raise DataError(f"record id must be a string, got {rid!r}")
+    if not rid:
+        raise DataError("empty record id")
+    if not isinstance(year, int) or isinstance(year, bool) or year <= 0:
+        raise DataError(f"record {rid!r}: year must be a positive integer, got {year!r}")
+    if year >= 2**63:
+        raise DataError(f"record {rid!r}: year {year} does not fit in 64 bits")
+    if isinstance(authors, str):
+        raise DataError(f"record {rid!r}: authors must be a list of names, not a string")
+    authors = authors if isinstance(authors, list) else list(authors)
+    try:  # normalize_author, with no Python call per name; str.split rejects a non-str
+        names = list(filter(None, map(" ".join, map(str.split, authors))))
+    except TypeError:
+        bad = next(name for name in authors if not isinstance(name, str))
+        raise DataError(f"record {rid!r}: author {bad!r} is not a string") from None
+    if not names:
+        raise DataError(f"record {rid!r} has no authors")
+    return names
+
+
 @dataclass(frozen=True)
 class PublicationRecord:
     """One publication: an id, a year and the ordered author list.
 
-    Construction is the one check of the fields, parsed records included:
-    a non-empty string id, a positive integer year and an iterable (not
-    a bare string) of string names, cleaned with :func:`normalize_author`
-    into a tuple with empty slots dropped; at least one must be left.
+    Construction is the check that parsing also runs: a non-empty string
+    id, a positive year that fits in int64 and an iterable (not a bare
+    string) of string names, cleaned with :func:`normalize_author` into a
+    tuple with empty slots dropped; at least one must be left.
     """
 
     id: str
@@ -81,23 +109,46 @@ class PublicationRecord:
     authors: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str):
-            raise DataError(f"record id must be a string, got {self.id!r}")
-        if not self.id:
-            raise DataError("empty record id")
-        year = self.year
-        if not isinstance(year, int) or isinstance(year, bool) or year <= 0:
-            raise DataError(f"record {self.id!r}: year must be a positive integer, got {year!r}")
-        if isinstance(self.authors, str):
-            raise DataError(f"record {self.id!r}: authors must be a list of names, not a string")
-        names = tuple(self.authors)
-        for name in names:
-            if not isinstance(name, str):
-                raise DataError(f"record {self.id!r}: author {name!r} is not a string")
-        authors = tuple(filter(None, map(normalize_author, names)))
-        if not authors:
-            raise DataError(f"record {self.id!r} has no authors")
-        object.__setattr__(self, "authors", authors)
+        object.__setattr__(self, "authors", tuple(_check_record(self.id, self.year, self.authors)))
+
+
+class Corpus(Sequence):
+    """Publication records as columns, with no object per record.
+
+    ``ids`` lists the record ids, ``years`` and ``offsets`` are read-only
+    int64, and record ``i``'s cleaned authors are the flat list slice
+    ``names[offsets[i]:offsets[i + 1]]``. ``corpus[i]`` is a :class:`PublicationRecord`.
+    """
+
+    def __init__(self, ids: list[str], years, offsets, names: list[str]) -> None:
+        self.ids, self.names = ids, names
+        self.years, self.offsets = np.asarray(years, np.int64), np.asarray(offsets, np.int64)
+        self.years.flags.writeable = self.offsets.flags.writeable = False
+
+    @classmethod
+    def from_records(cls, records: Iterable[PublicationRecord]) -> "Corpus":
+        """Columns of a sequence of records; a Corpus is returned as it is."""
+        if isinstance(records, Corpus):
+            return records
+        records = list(records)
+        return cls([rec.id for rec in records], [rec.year for rec in records],
+                   [0, *accumulate(len(rec.authors) for rec in records)],
+                   list(chain.from_iterable(rec.authors for rec in records)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        start, end = self.offsets[i : i + 2].tolist()
+        return PublicationRecord(self.ids[i], int(self.years[i]), self.names[start:end])
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Corpus)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -123,20 +174,23 @@ class ProductivityDistribution:
     total_contributions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        given = [tuple(p) for p in self.points]
-        pts = tuple((int(x), int(y)) for x, y in given)
-        object.__setattr__(self, "points", pts)
-        if not pts:
-            raise DataError("distribution has no rows")
-        prev = 0
-        for (x, y), (gx, gy) in zip(pts, given):
+        pts, prev = [], 0
+        for gx, gy in map(tuple, self.points):
+            try:
+                x, y = int(gx), int(gy)
+            except (ValueError, OverflowError):  # NaN, infinity
+                x = y = None
             if x != gx or y != gy:
                 raise DataError(f"x and y must be whole numbers, got x={gx}, y={gy}")
             if x <= prev:
                 raise DataError(f"x values must be strictly increasing and >= 1, got {x}")
             if y < 1:
                 raise DataError(f"count for x={x} must be >= 1; omit zero rows")
+            pts.append((x, y))
             prev = x
+        if not pts:
+            raise DataError("distribution has no rows")
+        object.__setattr__(self, "points", tuple(pts))
         xs = np.array([x for x, _ in pts], dtype=np.int64)
         ys = np.array([y for _, y in pts], dtype=np.int64)
         xs.flags.writeable = ys.flags.writeable = False
@@ -167,19 +221,18 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
-def _parse_pipe_line(line: str) -> PublicationRecord:
+def _parse_pipe_line(line: str) -> tuple:
     parts = line.split("|")
     if len(parts) != 3:
         raise DataError(f"expected 3 '|'-separated columns (id|year|authors), got {len(parts)}")
-    year_text = parts[1].strip()
     try:
-        year = int(year_text)
+        year = int(parts[1])  # int() ignores the surrounding whitespace itself
     except ValueError:
-        raise DataError(f"year {year_text!r} is not an integer") from None
-    return PublicationRecord(parts[0].strip(), year, parts[2].split(";"))
+        raise DataError(f"year {parts[1].strip()!r} is not an integer") from None
+    return parts[0].strip(), year, parts[2].split(";")
 
 
-def _parse_jsonl_line(line: str) -> PublicationRecord:
+def _parse_jsonl_line(line: str) -> tuple:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -190,42 +243,40 @@ def _parse_jsonl_line(line: str) -> PublicationRecord:
     if missing:
         raise DataError(f"missing keys {sorted(missing)}")
     authors = obj["authors"]
-    if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
+    if not isinstance(authors, list) or not all(map(str.__instancecheck__, authors)):
         raise DataError("authors must be a list of strings")
-    return PublicationRecord(obj["id"], obj["year"], authors)
+    return obj["id"], obj["year"], authors
 
 
-def parse_records(data: bytes | str, fmt: str = "pipe") -> list[PublicationRecord]:
-    """Parse a record file; empty input yields an empty list.
+def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
+    """Parse a record file into a :class:`Corpus`; empty input yields an empty one.
 
-    Malformed rows raise :class:`DataError` naming the offending line;
-    a duplicated id names both lines involved.
+    Malformed rows raise :class:`DataError` naming the first offending
+    line; a duplicated id names both lines involved.
     """
     if fmt not in ("pipe", "jsonl"):
         raise DataError(f"unknown record format {fmt!r} (expected 'pipe' or 'jsonl')")
     parse_line = _parse_pipe_line if fmt == "pipe" else _parse_jsonl_line
-    records: list[PublicationRecord] = []
-    seen: dict[str, int] = {}
+    seen: dict[str, int] = {}  # id -> line, in record order: the ids column
+    years, offsets, names = array("q"), array("q", [0]), []
     for lineno, raw in enumerate(_decode(data).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            rec = parse_line(line)
+            rid, year, authors = parse_line(line)
+            names += _check_record(rid, year, authors)
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
-        if rec.id in seen:
-            raise DataError(
-                f"line {lineno}: duplicate record id {rec.id!r} (first seen on line {seen[rec.id]})"
-            )
-        seen[rec.id] = lineno
-        records.append(rec)
-    return records
+        first = seen.setdefault(rid, lineno)
+        if first != lineno:
+            raise DataError(f"line {lineno}: duplicate record id {rid!r} (first seen on line {first})")
+        years.append(year)
+        offsets.append(len(names))
+    return Corpus(list(seen), years, offsets, names)
 
 
-def read_input(
-    data: bytes | str, kind: str = "auto"
-) -> list[PublicationRecord] | ProductivityDistribution:
+def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDistribution:
     """Records or a distribution table, whichever ``data`` holds.
 
     ``kind`` is ``"pipe"``, ``"jsonl"``, ``"distribution"`` or ``"auto"``.
@@ -257,11 +308,14 @@ def read_input(
 
 def dump_records(records: Iterable[PublicationRecord]) -> str:
     """Serialize records to JSON lines; `parse_records(..., 'jsonl')` round-trips."""
-    lines = []
-    for rec in records:
-        obj = {"authors": list(rec.authors), "id": rec.id, "year": rec.year}
-        lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")))
-    text = "".join(line + "\n" for line in lines)
+    corpus = Corpus.from_records(records)
+    names, offsets = corpus.names, corpus.offsets.tolist()
+    # the bytes of json.dumps(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    text = "".join(
+        f'{{"authors":[{",".join(map(_json_string, names[start:end]))}],'
+        f'"id":{_json_string(rid)},"year":{year}}}\n'
+        for rid, year, start, end in zip(corpus.ids, corpus.years.tolist(), offsets, offsets[1:])
+    )
     # json.dumps leaves these unescaped, but parse_records' splitlines() ends a line there
     for char in "\x85\u2028\u2029":
         text = text.replace(char, f"\\u{ord(char):04x}")
@@ -272,7 +326,7 @@ def dump_records(records: Iterable[PublicationRecord]) -> str:
 # counting
 
 def count_productivity(
-    records: list[PublicationRecord],
+    records: Iterable[PublicationRecord],
     method: CountingMethod | str = CountingMethod.COMPLETE,
 ) -> ProductivityDistribution:
     """Tally papers per author, then invert to a frequency table.
@@ -283,12 +337,12 @@ def count_productivity(
     Straight counting credits only the first listed author.
     """
     method = CountingMethod(method)
-    if not records:
+    corpus = Corpus.from_records(records)
+    if not corpus:
         raise DataError("empty corpus: no records to count")
+    credited = corpus.names
     if method is CountingMethod.STRAIGHT:
-        credited = (rec.authors[0] for rec in records)
-    else:
-        credited = chain.from_iterable(rec.authors for rec in records)
+        credited = map(credited.__getitem__, corpus.offsets[:-1].tolist())
     freq = Counter(Counter(credited).values())
     points = tuple(sorted(freq.items()))
     return ProductivityDistribution(points, provenance=f"counted:{method.value}")

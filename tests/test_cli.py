@@ -405,6 +405,16 @@ def test_byte_order_mark_is_dropped(capsys, tmp_path):
     assert out == "x,y\n1,2\n2,2\n4,1\n5,1\n"
 
 
+def test_ingest_year_beyond_64_bits_exits_2(capsys, tmp_path):
+    path = tmp_path / "far.psv"
+    path.write_text("P1|100000000000000000000|A\n")
+    code, out, err = run(capsys, "ingest", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("data error: line 1: record 'P1': year 100000000000000000000 "
+                   "does not fit in 64 bits\n")
+
+
 @pytest.mark.parametrize("kind", ["auto", "pipe", "distribution"])
 def test_invalid_utf8_exits_2(capsys, tmp_path, kind):
     path = tmp_path / "latin1.psv"

@@ -174,6 +174,17 @@ def test_pattern_margins_are_read_only_fields():
     assert table.period_percentages.tolist() == [50.0, 0.0, 50.0]
 
 
+def test_pattern_tables_compare_by_bins_and_counts():
+    records = [_rec(0, 1990, 1), _rec(1, 1996, 3), _rec(2, 2001, 12)]
+    table = authorship_pattern(records)
+    assert table == authorship_pattern(records)
+    assert table == AuthorshipPatternTable(table.counts.tolist(), table.period_bins)
+    assert table != authorship_pattern(records, origin_year=1989)
+    assert table != authorship_pattern(records[:2] + [_rec(2, 2001, 10)])
+    assert table != authorship_pattern(records, period_length=6)
+    assert table != table.to_dict()
+
+
 def test_pattern_bucket_labels_are_a_class_constant():
     table = authorship_pattern([_rec(0, 2000, 1)])
     assert table.bucket_labels == BUCKET_LABELS == AuthorshipPatternTable.bucket_labels

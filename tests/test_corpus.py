@@ -1,5 +1,7 @@
 """Record parsing, counting methods and distribution file handling."""
 
+import json
+import math
 import re
 from collections import Counter
 from unittest import mock
@@ -10,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lotkalaw import (
+    Corpus,
     CountingMethod,
     DataError,
     ProductivityDistribution,
     PublicationRecord,
+    authorship_pattern,
+    collab_metrics,
     corpus,
     count_productivity,
     dump_distribution,
@@ -24,7 +29,7 @@ from lotkalaw import (
     read_input,
 )
 
-from conftest import random_corpus
+from conftest import build_mixed_records, random_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +137,28 @@ def test_record_faults_name_their_line_once(fmt, bad, fault):
     assert message.startswith("line 3: ")
     assert fault in message
     assert message.count("line ") == (2 if "duplicate" in fault else 1)
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("pipe", "P1|2005|A\nP2|two|B\nP3|2007\nP2|2008|C\n"),
+    ("pipe", "P1|2005|A\nP1|2006|B\nP3|0|C\n"),
+    ("jsonl", '{"id": "P1", "year": 2005, "authors": ["A"]}\n{"id": "P2", "year": 0, '
+              '"authors": ["B"]}\n{"id": "P3"}\n[1]\n'),
+], ids=["pipe-year-then-columns", "pipe-duplicate-then-year", "jsonl-year-then-keys"])
+def test_the_first_of_two_faulty_lines_is_reported(fmt, text):
+    with pytest.raises(DataError, match="^line 2: "):
+        parse_records(text, fmt)
+
+
+@pytest.mark.parametrize("fmt, line", [
+    ("pipe", "P1|100000000000000000000|A"),
+    ("pipe", "P1|9223372036854775808|A"),
+    ("jsonl", '{"id": "P1", "year": 100000000000000000000, "authors": ["A"]}'),
+])
+def test_parse_rejects_a_year_beyond_64_bits(fmt, line):
+    with pytest.raises(DataError, match=r"^line 1: record 'P1': year \d+ does not fit in 64 bits"):
+        parse_records(line + "\n", fmt)
+    assert parse_records(f"P1|{2**63 - 1}|A\n").years.tolist() == [2**63 - 1]
 
 
 def test_parse_unknown_format():
@@ -294,6 +321,90 @@ def test_jsonl_round_trip_of_raw_names_property(records):
 
 
 # ---------------------------------------------------------------------------
+# corpus columns
+
+def test_parse_returns_columns_not_record_objects():
+    records = parse_records("P1|2005|Smith J; Jones K\n\nP2|2010| Ngubane  Z ;\n")
+    assert isinstance(records, Corpus) and len(records) == 2
+    assert records.ids == ["P1", "P2"]
+    assert records.years.tolist() == [2005, 2010] and records.years.dtype == np.int64
+    assert records.offsets.tolist() == [0, 2, 3] and records.offsets.dtype == np.int64
+    assert records.names == ["Smith J", "Jones K", "Ngubane Z"]
+    assert records[1] == records[-1] == PublicationRecord("P2", 2010, ("Ngubane Z",))
+    with pytest.raises(IndexError):
+        records[2]
+    assert list(records) == [records[0], records[1]] == records[:] == records[::-1][::-1]
+    assert Corpus.from_records(list(records)) == records == list(records)
+    assert Corpus.from_records(records) is records
+    assert records != [records[0]] and records != parse_records("P1|2005|Smith J\n")
+    assert records != "P1" and parse_records("") == [] == Corpus.from_records([])
+
+
+def test_corpus_columns_are_read_only():
+    records = parse_records("P1|2005|A; B\nP2|2006|C\n")
+    built = Corpus.from_records(list(records))
+    for columns in (records, built):
+        for column in (columns.years, columns.offsets):
+            with pytest.raises(ValueError):
+                column[0] = 7
+    assert records.years.tolist() == [2005, 2006] and records.offsets.tolist() == [0, 2, 3]
+
+
+def test_parse_builds_no_record_objects(monkeypatch):
+    """The speed path keeps columns: one record object per row would come back unseen."""
+    built = []
+    check = PublicationRecord.__post_init__
+    monkeypatch.setattr(PublicationRecord, "__post_init__",
+                        lambda self: (built.append(self.id), check(self)))
+    text = "".join(f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i % 13}\n"
+                   for i in range(1000))
+    records = parse_records(text)
+    assert len(records) == 1000 and len(records.names) == 2000
+    assert built == []
+    assert records[999].id == "P999" and built == ["P999"]  # the counter does count
+
+
+def test_consumers_agree_on_a_corpus_and_its_records():
+    rng = np.random.default_rng(606)
+    for records in [build_mixed_records(), *(random_corpus(rng, max_authors=14)
+                                             for _ in range(20))]:
+        columns = parse_records(dump_records(records), "jsonl")
+        assert columns == records
+        rows = list(columns)
+        for method in CountingMethod:
+            assert count_productivity(columns, method) == count_productivity(rows, method)
+        assert authorship_pattern(columns, 3) == authorship_pattern(rows, 3)
+        assert collab_metrics(columns) == collab_metrics(rows)
+        assert dump_records(columns) == dump_records(rows)
+
+
+# text a pipe line carries as is: no '|' or ';' separator and no splitlines() boundary
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="|;\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                max_size=10)
+_PIPE_SAFE_ROWS = st.lists(
+    st.tuples(_TEXT.filter(str.strip), st.integers(1, 2**63 - 1), st.sampled_from(["", " ", "\t"]),
+              st.lists(_TEXT, min_size=1, max_size=5).filter(
+                  lambda names: any(map(normalize_author, names)))),
+    max_size=8, unique_by=lambda row: row[0].strip(),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_PIPE_SAFE_ROWS, st.sampled_from(["pipe", "jsonl"]))
+def test_parse_property_matches_hand_built_records(rows, fmt):
+    if fmt == "pipe":
+        text = "".join(f"{rid}|{pad}{year}{pad}|{';'.join(names)}\n"
+                       for rid, year, pad, names in rows)
+        expected = [PublicationRecord(rid.strip(), year, names) for rid, year, _, names in rows]
+    else:
+        text = "".join(json.dumps({"id": rid, "year": year, "authors": names}) + "\n"
+                       for rid, year, _, names in rows)
+        expected = [PublicationRecord(rid, year, names) for rid, year, _, names in rows]
+    assert parse_records(text, fmt) == expected
+
+
+# ---------------------------------------------------------------------------
 # counting
 
 def _corpus(*author_lists):
@@ -444,6 +555,15 @@ def test_distribution_rejects_fractional_points():
     for points in (((1.0, 10.0), (2.0, 3.0), (3.0, 1.0)), np.array(whole),
                    np.array(whole, dtype=np.int32), np.array(whole, dtype=np.float64)):
         assert ProductivityDistribution(points).points == whole
+
+
+@pytest.mark.parametrize("point", [
+    (1, math.nan), (math.nan, 1), (1, math.inf), (math.inf, 1), (2, -math.inf),
+    (np.float64(math.nan), 1),
+])
+def test_distribution_rejects_non_finite_points(point):
+    with pytest.raises(DataError, match=f"whole numbers, got x={point[0]}, y={point[1]}"):
+        ProductivityDistribution(((1, 5), point) if point[0] == 2 else (point,))
 
 
 def test_distribution_columns_are_built_once_and_read_only():
