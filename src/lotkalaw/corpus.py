@@ -36,7 +36,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring as _json_string
 from typing import Iterable
 
@@ -118,12 +118,19 @@ class Corpus(Sequence):
     ``ids`` lists the record ids, ``years`` and ``offsets`` are read-only
     int64, and record ``i``'s cleaned authors are the flat list slice
     ``names[offsets[i]:offsets[i + 1]]``. ``corpus[i]`` is a :class:`PublicationRecord`.
+    Columns that do not line up (a year per id, offsets rising from 0 to
+    ``len(names)``) raise :class:`DataError`.
     """
 
     def __init__(self, ids: list[str], years, offsets, names: list[str]) -> None:
-        self.ids, self.names = ids, names
-        self.years, self.offsets = np.asarray(years, np.int64), np.asarray(offsets, np.int64)
-        self.years.flags.writeable = self.offsets.flags.writeable = False
+        years, offsets = np.asarray(years, np.int64), np.asarray(offsets, np.int64)
+        if years.shape != (len(ids),) or offsets.shape != (len(ids) + 1,):
+            raise DataError(f"{len(ids)} ids need {len(ids)} years and {len(ids) + 1} offsets, "
+                            f"got shapes {years.shape} and {offsets.shape}")
+        if offsets[0] != 0 or offsets[-1] != len(names) or (np.diff(offsets) < 0).any():
+            raise DataError(f"offsets must rise from 0 to the {len(names)} names")
+        years.flags.writeable = offsets.flags.writeable = False
+        self.ids, self.years, self.offsets, self.names = ids, years, offsets, names
 
     @classmethod
     def from_records(cls, records: Iterable[PublicationRecord]) -> "Corpus":
@@ -248,18 +255,68 @@ def _parse_jsonl_line(line: str) -> tuple:
     return obj["id"], obj["year"], authors
 
 
+_CHUNK_CHARS = 1 << 20  # pipe text is checked about this many characters at a time
+
+
+def _pipe_columns(text: str) -> Corpus | None:
+    """Columns of valid pipe text, or None if any line is faulty.
+
+    Each chunk of whole lines is split and checked a column at a time,
+    with no Python call per line; a chunk ends just after a newline, so
+    ``splitlines()`` cuts it where it cuts the whole text. None leaves
+    the naming of the first fault to the per-line loop.
+    """
+    ids: list[str] = []
+    years, sizes, slots = [], [], []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        lines = list(filter(None, map(str.strip, text[start:end].splitlines())))
+        start = end
+        if not lines:
+            continue
+        if set(map(str.count, lines, repeat("|"))) != {2}:
+            return None
+        fields = "|".join(lines).split("|")
+        ids += map(str.strip, fields[0::3])
+        try:
+            years.append(np.array(list(map(int, fields[1::3])), np.int64))
+        except (ValueError, OverflowError):  # not an integer, or beyond 64 bits
+            return None
+        authors = fields[2::3]
+        sizes.append(np.array(list(map(str.count, authors, repeat(";"))), np.int64) + 1)
+        slots += map(" ".join, map(str.split, ";".join(authors).split(";")))
+    if not ids:
+        return Corpus([], [], [0], [])
+    years, sizes = np.concatenate(years), np.concatenate(sizes)
+    if "" in ids or len(set(ids)) != len(ids) or years.min() <= 0:
+        return None
+    if "" in slots:  # drop the empty name slots, as _check_record does
+        keep = np.array(list(map(bool, slots)))
+        sizes = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.int64)
+        if not sizes.all():
+            return None
+        slots = list(filter(None, slots))
+    return Corpus(ids, years, np.concatenate(([0], np.cumsum(sizes))), slots)
+
+
 def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
     """Parse a record file into a :class:`Corpus`; empty input yields an empty one.
 
-    Malformed rows raise :class:`DataError` naming the first offending
-    line; a duplicated id names both lines involved.
+    Pipe text is checked one chunk of columns at a time; the per-line
+    check below runs over it only to name a fault, and is the JSONL
+    parser. Malformed rows raise :class:`DataError` naming the first
+    offending line; a duplicated id names both lines involved.
     """
     if fmt not in ("pipe", "jsonl"):
         raise DataError(f"unknown record format {fmt!r} (expected 'pipe' or 'jsonl')")
+    text = _decode(data)
+    if fmt == "pipe" and (columns := _pipe_columns(text)) is not None:
+        return columns
     parse_line = _parse_pipe_line if fmt == "pipe" else _parse_jsonl_line
     seen: dict[str, int] = {}  # id -> line, in record order: the ids column
     years, offsets, names = array("q"), array("q", [0]), []
-    for lineno, raw in enumerate(_decode(data).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -30,7 +30,6 @@ __all__ = [
     "compute_constant",
     "fit_power_law",
     "expected_proportion",
-    "expected_distribution",
     "EULER_MACLAURIN_CUTOFF",
 ]
 
@@ -166,8 +165,3 @@ def expected_proportion(n: float, c: float, x: int) -> float:
     if x < 1:
         raise DataError(f"x must be >= 1, got {x}")
     return c * float(x) ** -n
-
-
-def expected_distribution(n: float, c: float, xs) -> list[tuple[int, float]]:
-    """Expected proportion at each requested productivity level."""
-    return [(int(x), expected_proportion(n, c, int(x))) for x in xs]

@@ -364,6 +364,84 @@ def test_parse_builds_no_record_objects(monkeypatch):
     assert records[999].id == "P999" and built == ["P999"]  # the counter does count
 
 
+def test_valid_pipe_text_makes_no_call_per_line(monkeypatch):
+    """Pipe columns are checked a chunk at a time; the per-line parser only names a fault."""
+    calls = []
+    parse_line = corpus._parse_pipe_line
+    monkeypatch.setattr(corpus, "_parse_pipe_line",
+                        lambda line: (calls.append(line), parse_line(line))[1])
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 500)
+    lines = [f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i % 13}\n" for i in range(1000)]
+    records = parse_records("".join(lines))
+    assert len(records) == 1000 and len(records.names) == 2000 and calls == []
+    lines[699] = "P699|19x9|Author 1\n"
+    with pytest.raises(DataError, match=r"^line 700: year '19x9' is not an integer$"):
+        parse_records("".join(lines))
+    assert len(calls) == 700  # the counter does count
+
+
+@pytest.mark.parametrize("years, offsets, names", [
+    ([2000], [0, 5], ["x"]),  # one year for two ids
+    ([2000, 2001], [0, 1], ["x"]),  # offsets one short
+    ([2000, 2001], [1, 1, 2], ["x", "y"]),  # offsets not from 0
+    ([2000, 2001], [0, 1, 3], ["x", "y"]),  # offsets past the names
+    ([2000, 2001], [0, 2, 1], ["x"]),  # offsets falling
+    ([[2000, 2001]], [0, 1, 2], ["x", "y"]),  # years not one column
+])
+def test_corpus_rejects_columns_that_do_not_line_up(years, offsets, names):
+    with pytest.raises(DataError):
+        Corpus(["a", "b"], years, offsets, names)
+    assert Corpus(["a", "b"], [2000, 2001], [0, 1, 2], ["x", "y"])[1].authors == ("y",)
+
+
+_PAD = st.sampled_from(["", " ", "\t", "\u2000", "\u3000"])
+_END = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028"])
+
+
+@st.composite
+def _pipe_texts(draw):
+    """Pipe text of valid rows, padded and with mixed line ends, with at most one fault."""
+    rows = []
+    for i in range(draw(st.integers(0, 8))):
+        names = draw(st.lists(st.sampled_from(["Smith J", " Jones  K ", "Ng\u3000L", "", " "]),
+                              min_size=1, max_size=4))
+        rows.append([f"P{i}", str(draw(st.integers(1, 2**63 - 1))), ";".join([*names, "A"])])
+    fault = draw(st.sampled_from([None, "columns", "year", "id", "authors"]))
+    if fault and rows:
+        row = draw(st.sampled_from(rows))
+        if fault == "columns":
+            row[:] = draw(st.sampled_from([row[:2], [*row, "x"]]))
+        elif fault == "year":
+            row[1] = draw(st.sampled_from(["x", "", "1.5", "0", "-3", str(2**63), str(-2**70)]))
+        elif fault == "id":
+            row[0] = draw(st.sampled_from(["", "\u3000", rows[0][0], rows[-1][0]]))
+        else:
+            row[2] = draw(st.sampled_from(["", " ", ";", " ; \u2000;"]))
+    text = ""
+    for row in rows:
+        text += "|".join(draw(_PAD) + column + draw(_PAD) for column in row) + draw(_END)
+        if draw(st.booleans()):
+            text += draw(_PAD) + draw(_END)  # a blank line
+    return text
+
+
+def _parse_outcome(text):
+    try:
+        records = parse_records(text, "pipe")
+    except DataError as exc:
+        return str(exc)
+    return records.ids, records.years.tolist(), records.offsets.tolist(), records.names
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_pipe_texts(), st.integers(1, 40))
+def test_pipe_columns_match_the_per_line_loop(text, chunk_chars):
+    with mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars):
+        columns = _parse_outcome(text)
+    with mock.patch.object(corpus, "_pipe_columns", lambda text: None):
+        assert columns == _parse_outcome(text)
+
+
 def test_consumers_agree_on_a_corpus_and_its_records():
     rng = np.random.default_rng(606)
     for records in [build_mixed_records(), *(random_corpus(rng, max_authors=14)

@@ -13,7 +13,6 @@ from lotkalaw import (
     NumericError,
     ProductivityDistribution,
     compute_constant,
-    expected_distribution,
     expected_proportion,
     fit_exponent_lsq,
     fit_power_law,
@@ -238,15 +237,13 @@ def test_expected_proportion_domain_errors():
 
 def test_expected_distribution_values():
     c = compute_constant(2.0)
-    pairs = expected_distribution(2.0, c, range(1, 6))
-    assert [p[0] for p in pairs] == [1, 2, 3, 4, 5]
-    total = sum(p[1] for p in pairs)
+    props = [expected_proportion(2.0, c, x) for x in range(1, 6)]
+    total = sum(props)
     assert total == pytest.approx(c * sum(x**-2.0 for x in range(1, 6)), rel=1e-12)
     assert total == pytest.approx(0.88977, abs=1e-5)
-    props = [p[1] for p in pairs]
     assert props == sorted(props, reverse=True)
 
 
 def test_expected_distribution_single_level():
     c = compute_constant(3.0)
-    assert expected_distribution(3.0, c, [1]) == [(1, c)]
+    assert expected_proportion(3.0, c, 1) == c
