@@ -17,9 +17,12 @@ Two record formats are supported:
     output reproduces the original records exactly.
 
 :func:`parse_records` returns the records as the columns of a
-:class:`Corpus`. Every record, parsed or built by hand, cleans its names:
-:func:`normalize_author` collapses runs of whitespace and empty name
-slots are dropped, so the same names count as one author either way.
+:class:`Corpus`. Pipe text is checked one chunk of columns at a time
+(about 2^20 characters of whole lines), with no Python call per line;
+the per-line check runs only to name a fault. Every record, parsed or
+built by hand, cleans its names: :func:`normalize_author` collapses
+runs of whitespace and empty name slots are dropped, so the same names
+count as one author either way.
 
 Distribution files are comma-separated ``x,y`` rows with an optional
 ``x,y`` header line: ``x`` is a productivity level (papers per author),
@@ -123,7 +126,7 @@ class Corpus(Sequence):
     """
 
     def __init__(self, ids: list[str], years, offsets, names: list[str]) -> None:
-        years, offsets = np.asarray(years, np.int64), np.asarray(offsets, np.int64)
+        years, offsets = np.array(years, np.int64), np.array(offsets, np.int64)
         if years.shape != (len(ids),) or offsets.shape != (len(ids) + 1,):
             raise DataError(f"{len(ids)} ids need {len(ids)} years and {len(ids) + 1} offsets, "
                             f"got shapes {years.shape} and {offsets.shape}")
@@ -256,21 +259,24 @@ def _parse_jsonl_line(line: str) -> tuple:
 
 
 _CHUNK_CHARS = 1 << 20  # pipe text is checked about this many characters at a time
+_LINE_END = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")  # where splitlines() cuts
 
 
 def _pipe_columns(text: str) -> Corpus | None:
     """Columns of valid pipe text, or None if any line is faulty.
 
     Each chunk of whole lines is split and checked a column at a time,
-    with no Python call per line; a chunk ends just after a newline, so
-    ``splitlines()`` cuts it where it cuts the whole text. None leaves
-    the naming of the first fault to the per-line loop.
+    with no Python call per line. A chunk ends just after a character
+    where ``splitlines()`` ends a line, so every line is whole (a CR LF
+    cut after its CR only adds a blank line). None leaves the naming of
+    the first fault to the per-line loop.
     """
     ids: list[str] = []
     years, sizes, slots = [], [], []
     start = 0
     while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        cut = _LINE_END.search(text, start + _CHUNK_CHARS)
+        end = cut.end() if cut else len(text)
         lines = list(filter(None, map(str.strip, text[start:end].splitlines())))
         start = end
         if not lines:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -380,6 +381,21 @@ def test_valid_pipe_text_makes_no_call_per_line(monkeypatch):
     assert len(calls) == 700  # the counter does count
 
 
+def test_pipe_chunks_end_at_every_line_end(monkeypatch):
+    """A file with no newline is still read a chunk at a time: memory stays bounded."""
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 2000)
+    peaks = {}
+    for end in ["\n", "\r", "\x85", "\x0c"]:
+        text = "".join(f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i}{end}" for i in range(5000))
+        tracemalloc.start()
+        try:
+            assert len(parse_records(text)) == 5000
+            peaks[end] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 1.2 * peaks["\n"], peaks
+
+
 @pytest.mark.parametrize("years, offsets, names", [
     ([2000], [0, 5], ["x"]),  # one year for two ids
     ([2000, 2001], [0, 1], ["x"]),  # offsets one short
@@ -391,7 +407,10 @@ def test_valid_pipe_text_makes_no_call_per_line(monkeypatch):
 def test_corpus_rejects_columns_that_do_not_line_up(years, offsets, names):
     with pytest.raises(DataError):
         Corpus(["a", "b"], years, offsets, names)
-    assert Corpus(["a", "b"], [2000, 2001], [0, 1, 2], ["x", "y"])[1].authors == ("y",)
+    years = np.array([2000, 2001])
+    built = Corpus(["a", "b"], years, [0, 1, 2], ["x", "y"])
+    years[0] = 1999  # the caller's array is copied, not frozen
+    assert built[1].authors == ("y",) and built.years.tolist() == [2000, 2001]
 
 
 _PAD = st.sampled_from(["", " ", "\t", "\u2000", "\u3000"])
