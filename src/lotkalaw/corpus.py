@@ -263,7 +263,7 @@ _LINE_END = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")  # where split
 
 
 def _pipe_columns(text: str) -> Corpus | None:
-    """Columns of valid pipe text, or None if any line is faulty.
+    """Columns of valid pipe text, or None at the first chunk with a faulty line.
 
     Each chunk of whole lines is split and checked a column at a time,
     with no Python call per line. A chunk ends just after a character
@@ -272,7 +272,8 @@ def _pipe_columns(text: str) -> Corpus | None:
     the first fault to the per-line loop.
     """
     ids: list[str] = []
-    years, sizes, slots = [], [], []
+    seen: set[str] = set()
+    years, sizes, names = [], [], []
     start = 0
     while start < len(text):
         cut = _LINE_END.search(text, start + _CHUNK_CHARS)
@@ -284,26 +285,29 @@ def _pipe_columns(text: str) -> Corpus | None:
         if set(map(str.count, lines, repeat("|"))) != {2}:
             return None
         fields = "|".join(lines).split("|")
-        ids += map(str.strip, fields[0::3])
+        chunk_ids = list(map(str.strip, fields[0::3]))
+        ids += chunk_ids
+        seen.update(chunk_ids)
         try:
-            years.append(np.array(list(map(int, fields[1::3])), np.int64))
+            chunk_years = np.array(list(map(int, fields[1::3])), np.int64)
         except (ValueError, OverflowError):  # not an integer, or beyond 64 bits
             return None
         authors = fields[2::3]
-        sizes.append(np.array(list(map(str.count, authors, repeat(";"))), np.int64) + 1)
-        slots += map(" ".join, map(str.split, ";".join(authors).split(";")))
+        counts = np.array(list(map(str.count, authors, repeat(";"))), np.int64) + 1
+        slots = list(map(" ".join, map(str.split, ";".join(authors).split(";"))))
+        if "" in slots:  # drop the empty name slots, as _check_record does
+            keep = np.array(list(map(bool, slots)))
+            counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.int64)
+            slots = list(filter(None, slots))
+        if "" in chunk_ids or len(seen) != len(ids) or chunk_years.min() <= 0 or not counts.all():
+            return None
+        years.append(chunk_years)
+        sizes.append(counts)
+        names += slots
     if not ids:
         return Corpus([], [], [0], [])
-    years, sizes = np.concatenate(years), np.concatenate(sizes)
-    if "" in ids or len(set(ids)) != len(ids) or years.min() <= 0:
-        return None
-    if "" in slots:  # drop the empty name slots, as _check_record does
-        keep = np.array(list(map(bool, slots)))
-        sizes = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.int64)
-        if not sizes.all():
-            return None
-        slots = list(filter(None, slots))
-    return Corpus(ids, years, np.concatenate(([0], np.cumsum(sizes))), slots)
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    return Corpus(ids, np.concatenate(years), offsets, names)
 
 
 def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:

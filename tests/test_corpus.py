@@ -381,6 +381,33 @@ def test_valid_pipe_text_makes_no_call_per_line(monkeypatch):
     assert len(calls) == 700  # the counter does count
 
 
+@pytest.mark.parametrize("faulty, message", [
+    ("P0|2000|A", "duplicate record id 'P0' (first seen on line 1)"),
+    (" |2000|A", "empty record id"),
+    ("P1|0|A", "record 'P1': year must be a positive integer, got 0"),
+    ("P1|2000| ; ", "record 'P1' has no authors"),
+])
+def test_a_pipe_fault_ends_the_column_pass_in_its_chunk(monkeypatch, faulty, message):
+    """A faulty file costs at most one chunk of column work before the per-line loop."""
+    searches = []
+    line_end = corpus._LINE_END
+
+    class CountingLineEnd:
+        def search(self, text, pos):
+            searches.append(pos)
+            return line_end.search(text, pos)
+
+    monkeypatch.setattr(corpus, "_LINE_END", CountingLineEnd())
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 500)
+    lines = [f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i % 13}" for i in range(1000)]
+    assert len(parse_records("\n".join(lines))) == 1000 and len(searches) > 50
+    searches.clear()
+    lines[1] = faulty
+    with pytest.raises(DataError, match=f"^line 2: {re.escape(message)}$"):
+        parse_records("\n".join(lines))
+    assert len(searches) == 1
+
+
 def test_pipe_chunks_end_at_every_line_end(monkeypatch):
     """A file with no newline is still read a chunk at a time: memory stays bounded."""
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 2000)
@@ -407,9 +434,12 @@ def test_pipe_chunks_end_at_every_line_end(monkeypatch):
 def test_corpus_rejects_columns_that_do_not_line_up(years, offsets, names):
     with pytest.raises(DataError):
         Corpus(["a", "b"], years, offsets, names)
+
+
+def test_corpus_copies_the_callers_arrays():
     years = np.array([2000, 2001])
     built = Corpus(["a", "b"], years, [0, 1, 2], ["x", "y"])
-    years[0] = 1999  # the caller's array is copied, not frozen
+    years[0] = 1999  # not frozen, and not shared
     assert built[1].authors == ("y",) and built.years.tolist() == [2000, 2001]
 
 
