@@ -153,10 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_c_method(text: str) -> tuple[str, int]:
-    if text == "zeta":
-        return "zeta", 1_000_000
-    if text == "sum":
-        return "sum", 1_000_000
+    if text in ("zeta", "sum"):
+        return text, 1_000_000
     match = re.fullmatch(r"sum:(\d+)", text)
     if match:
         limit = int(match.group(1))
@@ -286,7 +284,7 @@ def cmd_ks(args: argparse.Namespace) -> str:
     dist, _ = _distribution_for(args)
     fit, result, doc = _ks_for(args, dist)
     if args.output_format == "json":
-        rows = [row.__dict__ for row in result.rows]
+        rows = [dict(zip(result.rows.dtype.names, row)) for row in result.rows.tolist()]
         return _json_doc({"fit": fit.to_dict(), "result": doc, "rows": rows})
     summary = [("n", fit.n), ("c", fit.c), ("intercept", fit.intercept)]
     summary += [(k, doc[k]) for k in _KS_SUMMARY_KEYS if k in doc]
@@ -308,16 +306,17 @@ def cmd_pattern(args: argparse.Namespace) -> str:
 def cmd_report(args: argparse.Namespace) -> str:
     dist, records = _distribution_for(args)
     fit, result, ks_doc = _ks_for(args, dist)
+    ks_rows = [dict(zip(result.rows.dtype.names, row)) for row in result.rows.tolist()]
     plot_rows = [
-        [log10(row.x), log10(row.y), log10(row.expected_proportion * result.total_authors)]
-        for row in result.rows
+        [log10(row["x"]), log10(row["y"]), log10(row["expected_proportion"] * result.total_authors)]
+        for row in ks_rows
     ]
     doc = {
         "input": {"path": args.input, "counting": args.counting if records is not None else None},
         "distribution": dist.to_dict(),
         "fit": fit.to_dict(),
         "ks": ks_doc,
-        "ks_rows": [row.__dict__ for row in result.rows],
+        "ks_rows": ks_rows,
         "plot_data": plot_rows,
         "pattern": None,
         "collaboration": None,
@@ -328,11 +327,9 @@ def cmd_report(args: argparse.Namespace) -> str:
         doc["collaboration"] = collab_metrics(records).to_dict()
     if args.plot_out is not None:
         lines = ["log10_x,log10_observed,log10_expected"]
-        lines += [f"{r[0]!r},{r[1]!r},{r[2]!r}" for r in plot_rows]
+        lines += [",".join(map(repr, row)) for row in plot_rows]
         try:
-            Path(args.plot_out).write_text(
-                "".join(line + "\n" for line in lines), encoding="utf-8"
-            )
+            Path(args.plot_out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot write {args.plot_out}: {exc.strerror}") from None
     return _json_doc(doc)

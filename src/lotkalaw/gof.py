@@ -8,6 +8,8 @@ literature uses both and they disagree on long-tailed tables:
 * cumulative: the textbook D, the maximum absolute gap between the two
   cumulative distribution curves.
 
+Both are maxima over a column of the :func:`ks_report` table.
+
 The critical value is coefficient / sqrt(total authors). Standard
 two-sided coefficients are provided as presets alongside the
 nonstandard 2.54 used by the CAD study whose numbers ship as fixtures
@@ -27,11 +29,8 @@ from .lotka import expected_proportion
 
 __all__ = [
     "COEFFICIENT_PRESETS",
-    "KSReportRow",
     "KSResult",
     "ks_report",
-    "ks_statistic_pointwise",
-    "ks_statistic_cumulative",
     "critical_value",
     "run_ks",
     "render_report_csv",
@@ -46,25 +45,11 @@ COEFFICIENT_PRESETS = {
 
 
 @dataclass(frozen=True)
-class KSReportRow:
-    """One observed productivity level with model comparison columns."""
-
-    x: int
-    y: int
-    observed_proportion: float
-    observed_cumulative: float
-    expected_proportion: float
-    expected_cumulative: float
-    pointwise_diff: float
-    cumulative_diff: float
-
-
-@dataclass(frozen=True)
 class KSResult:
     """Both statistics, the critical value and the two verdicts.
 
-    ``rows`` is the comparison table the statistics were taken from; it
-    is left out of equality, ``repr`` and :meth:`to_dict`.
+    ``rows`` is the :func:`ks_report` table the statistics were taken
+    from; it is left out of equality, ``repr`` and :meth:`to_dict`.
     """
 
     d_max_pointwise: float
@@ -74,7 +59,7 @@ class KSResult:
     total_authors: int
     conforms_pointwise: bool
     conforms_cumulative: bool
-    rows: tuple[KSReportRow, ...] = field(default=(), compare=False, repr=False)
+    rows: np.recarray = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
@@ -85,8 +70,14 @@ def ks_report(
     n: float,
     c: float,
     dense_expected: bool = False,
-) -> list[KSReportRow]:
-    """Row-by-row comparison of observed and modelled author proportions.
+) -> np.recarray:
+    """Level-by-level comparison of observed and modelled author proportions.
+
+    A read-only ``numpy.recarray``, one record per observed level: int64
+    ``x`` and ``y``, then float64 ``observed_proportion``,
+    ``observed_cumulative``, ``expected_proportion``,
+    ``expected_cumulative``, ``pointwise_diff`` and ``cumulative_diff``
+    (observed minus expected). ``table.x`` is a column, ``table[i].x`` a value.
 
     Expected cumulatives normally accumulate over the observed x levels
     only, matching how published worksheets tabulate them. With
@@ -99,24 +90,17 @@ def ks_report(
     # One scalar expected_proportion per level: numpy's vectorized power
     # can differ from it in the last bit, which would change printed digits.
     levels = range(1, int(xs[-1]) + 1) if dense_expected else xs.tolist()
-    table = np.array([expected_proportion(n, c, x) for x in levels])
+    expected = np.array([expected_proportion(n, c, x) for x in levels])
+    expected_cum = np.cumsum(expected)
     if dense_expected:
-        expected, expected_cum = table[xs - 1], np.cumsum(table)[xs - 1]
-    else:
-        expected, expected_cum = table, np.cumsum(table)
-    pointwise, cumulative = observed - expected, observed_cum - expected_cum
-    columns = (xs, dist.ys, observed, observed_cum, expected, expected_cum, pointwise, cumulative)
-    return [KSReportRow(*row) for row in zip(*(column.tolist() for column in columns))]
-
-
-def ks_statistic_pointwise(report: list[KSReportRow]) -> float:
-    """Maximum signed row difference, observed minus expected."""
-    return max(row.pointwise_diff for row in report)
-
-
-def ks_statistic_cumulative(report: list[KSReportRow]) -> float:
-    """Maximum absolute gap between the cumulative curves."""
-    return max(abs(row.cumulative_diff) for row in report)
+        expected, expected_cum = expected[xs - 1], expected_cum[xs - 1]
+    columns = (xs, dist.ys, observed, observed_cum, expected, expected_cum,
+               observed - expected, observed_cum - expected_cum)
+    table = np.rec.fromarrays(columns, names=(
+        "x,y,observed_proportion,observed_cumulative,expected_proportion,"
+        "expected_cumulative,pointwise_diff,cumulative_diff"))
+    table.flags.writeable = False
+    return table
 
 
 def critical_value(total_authors: int, coefficient: float) -> float:
@@ -136,9 +120,9 @@ def run_ks(
     dense_expected: bool = False,
 ) -> KSResult:
     """Full test: report, both statistics, threshold, verdicts."""
-    report = ks_report(dist, n, c, dense_expected=dense_expected)
-    d_pw = ks_statistic_pointwise(report)
-    d_cum = ks_statistic_cumulative(report)
+    table = ks_report(dist, n, c, dense_expected=dense_expected)
+    d_pw = float(table.pointwise_diff.max())
+    d_cum = float(np.abs(table.cumulative_diff).max())
     total = dist.total_authors
     crit = critical_value(total, coefficient)
     return KSResult(
@@ -149,20 +133,12 @@ def run_ks(
         total_authors=total,
         conforms_pointwise=abs(d_pw) <= crit,
         conforms_cumulative=d_cum <= crit,
-        rows=tuple(report),
+        rows=table,
     )
 
 
-def render_report_csv(report: list[KSReportRow]) -> str:
-    """CSV text of the comparison table, full float precision."""
-    header = (
-        "x,y,observed,observed_cum,expected,expected_cum,diff,cum_diff"
-    )
-    lines = [header]
-    for row in report:
-        lines.append(
-            f"{row.x},{row.y},{row.observed_proportion!r},{row.observed_cumulative!r},"
-            f"{row.expected_proportion!r},{row.expected_cumulative!r},"
-            f"{row.pointwise_diff!r},{row.cumulative_diff!r}"
-        )
+def render_report_csv(table: np.recarray) -> str:
+    """CSV text of a :func:`ks_report` table, full float precision."""
+    lines = ["x,y,observed,observed_cum,expected,expected_cum,diff,cum_diff"]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
     return "".join(line + "\n" for line in lines)

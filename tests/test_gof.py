@@ -12,8 +12,6 @@ from lotkalaw import (
     expected_proportion,
     fit_power_law,
     ks_report,
-    ks_statistic_cumulative,
-    ks_statistic_pointwise,
     render_report_csv,
     run_ks,
 )
@@ -67,7 +65,7 @@ def test_report_two_row_hand_example():
     report = ks_report(dist, 2.0, c)
     assert report[0].pointwise_diff == pytest.approx(-0.00793, abs=1e-5)
     assert report[1].pointwise_diff == pytest.approx(0.24802, abs=1e-5)
-    assert ks_statistic_cumulative(report) == pytest.approx(0.24009, abs=1e-5)
+    assert np.abs(report.cumulative_diff).max() == pytest.approx(0.24009, abs=1e-5)
 
 
 def test_report_single_row():
@@ -97,14 +95,14 @@ def test_dense_expected_accumulates_missing_levels(cad_distribution, cad_fit):
 # statistics
 
 def test_pointwise_statistic_fixture(cad_report):
-    d = ks_statistic_pointwise(cad_report)
+    d = cad_report.pointwise_diff.max()
     assert d == pytest.approx(0.1050, abs=5e-4)
     top = max(cad_report, key=lambda row: row.pointwise_diff)
     assert top.x == 2
 
 
 def test_cumulative_statistic_fixture(cad_report):
-    d = ks_statistic_cumulative(cad_report)
+    d = np.abs(cad_report.cumulative_diff).max()
     assert d == pytest.approx(0.2132, abs=5e-4)
     top = max(cad_report, key=lambda row: abs(row.cumulative_diff))
     assert top.x == 1
@@ -114,7 +112,7 @@ def test_pointwise_keeps_sign():
     # observed sits below the model at every level here
     dist = ProductivityDistribution(((1, 1), (2, 1)))
     report = ks_report(dist, 0.1, 0.99)
-    d = ks_statistic_pointwise(report)
+    d = report.pointwise_diff.max()
     assert d < 0
     assert d == pytest.approx(0.5 - 0.99 * 2**-0.1, rel=1e-9)
 
@@ -125,11 +123,11 @@ def test_statistics_scale_invariant(cad_distribution, cad_fit):
     )
     base = ks_report(cad_distribution, cad_fit.n, cad_fit.c)
     up = ks_report(scaled, cad_fit.n, cad_fit.c)
-    assert ks_statistic_pointwise(up) == pytest.approx(
-        ks_statistic_pointwise(base), abs=1e-12
+    assert up.pointwise_diff.max() == pytest.approx(
+        base.pointwise_diff.max(), abs=1e-12
     )
-    assert ks_statistic_cumulative(up) == pytest.approx(
-        ks_statistic_cumulative(base), abs=1e-12
+    assert np.abs(up.cumulative_diff).max() == pytest.approx(
+        np.abs(base.cumulative_diff).max(), abs=1e-12
     )
 
 
@@ -140,8 +138,8 @@ def test_identical_distributions_give_zero():
     ys = [round(1e9 * c * x**-n) for x in range(1, x_max + 1)]
     dist = ProductivityDistribution(tuple(zip(range(1, x_max + 1), ys)))
     report = ks_report(dist, n, c)
-    assert abs(ks_statistic_pointwise(report)) < 1e-6
-    assert ks_statistic_cumulative(report) < 1e-6
+    assert abs(report.pointwise_diff.max()) < 1e-6
+    assert np.abs(report.cumulative_diff).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +210,9 @@ def test_run_ks_to_dict_round_trip(cad_distribution, cad_fit):
 def test_run_ks_carries_the_report_it_tested(cad_distribution, cad_fit, dense):
     result = run_ks(cad_distribution, cad_fit.n, cad_fit.c, 2.54, dense_expected=dense)
     report = ks_report(cad_distribution, cad_fit.n, cad_fit.c, dense_expected=dense)
-    assert result.rows == tuple(report)
-    assert result.d_max_pointwise == ks_statistic_pointwise(report)
-    assert result.d_max_cumulative == ks_statistic_cumulative(report)
+    assert np.array_equal(result.rows, report)
+    assert result.d_max_pointwise == report.pointwise_diff.max()
+    assert result.d_max_cumulative == np.abs(report.cumulative_diff).max()
     assert "rows" not in repr(result)
     assert result == run_ks(cad_distribution, cad_fit.n, cad_fit.c, 2.54, dense_expected=dense)
 
@@ -227,6 +225,16 @@ def test_report_keeps_the_scalar_expected_proportion(cad_distribution, cad_fit, 
     report = ks_report(cad_distribution, cad_fit.n, cad_fit.c, dense_expected=dense)
     for row in report:
         assert row.expected_proportion == expected_proportion(cad_fit.n, cad_fit.c, row.x)
+
+
+def test_report_is_a_read_only_column_table(cad_report):
+    assert isinstance(cad_report, np.ndarray) and not cad_report.flags.writeable
+    assert cad_report.x.dtype == cad_report.y.dtype == np.int64
+    assert cad_report.pointwise_diff.dtype == np.float64
+    with pytest.raises(ValueError):
+        cad_report.pointwise_diff[0] = 0.0
+    with pytest.raises(ValueError):
+        cad_report["x"] = 1
 
 
 # ---------------------------------------------------------------------------
