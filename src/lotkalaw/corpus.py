@@ -122,10 +122,40 @@ class Corpus(Sequence):
     int64, and record ``i``'s cleaned authors are the flat list slice
     ``names[offsets[i]:offsets[i + 1]]``. ``corpus[i]`` is a :class:`PublicationRecord`.
     Columns that do not line up (a year per id, offsets rising from 0 to
-    ``len(names)``) raise :class:`DataError`.
+    ``len(names)``) raise :class:`DataError`, as do records that break a
+    :class:`PublicationRecord` rule, names not yet cleaned and repeated ids.
     """
 
     def __init__(self, ids: list[str], years, offsets, names: list[str]) -> None:
+        ids, names = list(ids), list(names)
+        years = years.tolist() if isinstance(years, np.ndarray) else list(years)
+        if not (set(map(type, years)) <= {int} and 0 < min(years, default=1)
+                and max(years, default=1) < 2**63):
+            bad = next(year for year in years if type(year) is not int or not 0 < year < 2**63)
+            raise DataError(f"year must be a positive integer below 2^63, got {bad!r}")
+        self._set_columns(ids, years, offsets, names)
+        # _check_record's rules, names already clean, as C-level calls over
+        # whole columns; the loop over the records runs only to name a fault
+        if (all(map(str.__instancecheck__, ids)) and "" not in ids and len(set(ids)) == len(ids)
+                and np.diff(self.offsets).all() and all(map(str.__instancecheck__, names))
+                and list(filter(None, map(" ".join, map(str.split, names)))) == names):
+            return
+        offsets, seen = self.offsets.tolist(), set()
+        for rid, year, start, end in zip(ids, self.years.tolist(), offsets, offsets[1:]):
+            if _check_record(rid, year, names[start:end]) != names[start:end]:
+                raise DataError(f"record {rid!r}: authors {names[start:end]!r} are not "
+                                "all non-empty and cleaned with normalize_author")
+            if rid in seen or seen.add(rid):
+                raise DataError(f"duplicate record id {rid!r}")
+
+    @classmethod
+    def _of_checked(cls, ids: list[str], years, offsets, names: list[str]) -> "Corpus":
+        """A Corpus of columns whose records were checked as they were read."""
+        corpus = cls.__new__(cls)
+        corpus._set_columns(ids, years, offsets, names)
+        return corpus
+
+    def _set_columns(self, ids: list[str], years, offsets, names: list[str]) -> None:
         years, offsets = np.array(years, np.int64), np.array(offsets, np.int64)
         if years.shape != (len(ids),) or offsets.shape != (len(ids) + 1,):
             raise DataError(f"{len(ids)} ids need {len(ids)} years and {len(ids) + 1} offsets, "
@@ -137,13 +167,16 @@ class Corpus(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[PublicationRecord]) -> "Corpus":
-        """Columns of a sequence of records; a Corpus is returned as it is."""
+        """Columns of checked records, whose ids must not repeat; a Corpus is returned as it is."""
         if isinstance(records, Corpus):
             return records
         records = list(records)
-        return cls([rec.id for rec in records], [rec.year for rec in records],
-                   [0, *accumulate(len(rec.authors) for rec in records)],
-                   list(chain.from_iterable(rec.authors for rec in records)))
+        ids = [rec.id for rec in records]
+        if len(set(ids)) != len(ids):
+            raise DataError(f"duplicate record id {Counter(ids).most_common(1)[0][0]!r}")
+        return cls._of_checked(ids, [rec.year for rec in records],
+                               [0, *accumulate(len(rec.authors) for rec in records)],
+                               list(chain.from_iterable(rec.authors for rec in records)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -173,7 +206,8 @@ class ProductivityDistribution:
     Built once at construction: the read-only int64 columns ``xs`` and
     ``ys``, ``total_authors`` (sum of y: how many distinct authors were
     tallied) and ``total_contributions`` (sum of x*y: how many credits
-    the tallied authors hold together).
+    the tallied authors hold together), both exact. A table whose sum of
+    x*y reaches 2^63 raises :class:`DataError`.
     """
 
     points: tuple[tuple[int, int], ...]
@@ -184,7 +218,7 @@ class ProductivityDistribution:
     total_contributions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts, prev = [], 0
+        pts, prev, authors, contributions = [], 0, 0, 0
         for gx, gy in map(tuple, self.points):
             try:
                 x, y = int(gx), int(gy)
@@ -196,18 +230,21 @@ class ProductivityDistribution:
                 raise DataError(f"x values must be strictly increasing and >= 1, got {x}")
             if y < 1:
                 raise DataError(f"count for x={x} must be >= 1; omit zero rows")
+            authors, contributions = authors + y, contributions + x * y
+            if contributions >= 2**63:  # it bounds x, y and authors too
+                raise DataError(f"x and y must be whole numbers, got x={x}, y={y}, "
+                                f"which take the sum of x*y to {contributions}, past 64 bits")
             pts.append((x, y))
             prev = x
         if not pts:
             raise DataError("distribution has no rows")
         object.__setattr__(self, "points", tuple(pts))
-        xs = np.array([x for x, _ in pts], dtype=np.int64)
-        ys = np.array([y for _, y in pts], dtype=np.int64)
+        xs, ys = np.array(pts, np.int64).T.copy()
         xs.flags.writeable = ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "total_authors", int(ys.sum()))
-        object.__setattr__(self, "total_contributions", int((xs * ys).sum()))
+        object.__setattr__(self, "total_authors", authors)
+        object.__setattr__(self, "total_contributions", contributions)
 
     def to_dict(self) -> dict:
         return {
@@ -305,9 +342,9 @@ def _pipe_columns(text: str) -> Corpus | None:
         sizes.append(counts)
         names += slots
     if not ids:
-        return Corpus([], [], [0], [])
+        return Corpus._of_checked([], [], [0], [])
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    return Corpus(ids, np.concatenate(years), offsets, names)
+    return Corpus._of_checked(ids, np.concatenate(years), offsets, names)
 
 
 def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
@@ -340,7 +377,7 @@ def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
             raise DataError(f"line {lineno}: duplicate record id {rid!r} (first seen on line {first})")
         years.append(year)
         offsets.append(len(names))
-    return Corpus(list(seen), years, offsets, names)
+    return Corpus._of_checked(list(seen), years, offsets, names)
 
 
 def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDistribution:

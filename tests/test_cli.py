@@ -415,6 +415,18 @@ def test_ingest_year_beyond_64_bits_exits_2(capsys, tmp_path):
                    "does not fit in 64 bits\n")
 
 
+@pytest.mark.parametrize("table", ["1,5\n99999999999999999999,1\n",
+                                   "x,y\n1,5000000000\n4000000000,3000000000\n"])
+def test_ingest_counts_beyond_64_bits_exit_2(capsys, tmp_path, table):
+    path = tmp_path / "huge.csv"
+    path.write_text(table)
+    for output_format in ("csv", "json"):
+        code, out, err = run(capsys, "ingest", "--input", str(path), "--format", output_format)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("data error: x and y must be whole numbers") and "64 bits" in err
+
+
 @pytest.mark.parametrize("kind", ["auto", "pipe", "distribution"])
 def test_invalid_utf8_exits_2(capsys, tmp_path, kind):
     path = tmp_path / "latin1.psv"

@@ -436,6 +436,42 @@ def test_corpus_rejects_columns_that_do_not_line_up(years, offsets, names):
         Corpus(["a", "b"], years, offsets, names)
 
 
+def test_corpus_rejects_the_columns_of_invalid_records():
+    with pytest.raises(DataError, match="year must be a positive integer below 2\\^63, got -5"):
+        Corpus(["a", "a"], [2000, -5], [0, 1, 2], ["", "x"])
+
+
+@pytest.mark.parametrize("ids, years, offsets, names, message", [
+    (["a", 7], [2000, 2001], [0, 1, 2], ["x", "y"], "record id must be a string, got 7"),
+    (["a", ""], [2000, 2001], [0, 1, 2], ["x", "y"], "empty record id"),
+    (["a", "a"], [2000, 2001], [0, 1, 2], ["x", "y"], "duplicate record id 'a'"),
+    (["a", "b"], [2000, 0], [0, 1, 2], ["x", "y"], "positive integer below 2^63, got 0"),
+    (["a", "b"], [2000, 2001.0], [0, 1, 2], ["x", "y"], "below 2^63, got 2001.0"),
+    (["a", "b"], [2000, 2**63], [0, 1, 2], ["x", "y"], f"positive integer below 2^63, got {2**63}"),
+    (["a", "b"], [2000, 2001], [0, 2, 2], ["x", "y"], "record 'b' has no authors"),
+    (["a", "b"], [2000, 2001], [0, 1, 2], ["x", None], "record 'b': author None is not"),
+    (["a", "b"], [2000, 2001], [0, 1, 3], ["x", "y", ""], "record 'b': authors ['y', ''] are"),
+    (["a", "b"], [2000, 2001], [0, 1, 2], ["x", " y"], "record 'b': authors [' y'] are not"),
+])
+def test_corpus_checks_each_record_rule(ids, years, offsets, names, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        Corpus(ids, years, offsets, names)
+
+
+def test_corpus_from_records_rejects_a_repeated_id():
+    record = PublicationRecord("P1", 2000, ("A",))
+    with pytest.raises(DataError, match="duplicate record id 'P1'"):
+        Corpus.from_records([record, record])
+
+
+def test_checked_columns_are_not_checked_again():
+    text = "P1|2005|A; B\nP2|2006|C\n"
+    with mock.patch.object(Corpus, "__init__", side_effect=AssertionError):
+        records = parse_records(text)
+        assert parse_records(dump_records(records), "jsonl") == records
+        assert Corpus.from_records(list(records)) == records
+
+
 def test_corpus_copies_the_callers_arrays():
     years = np.array([2000, 2001])
     built = Corpus(["a", "b"], years, [0, 1, 2], ["x", "y"])
@@ -686,7 +722,7 @@ def test_distribution_rejects_fractional_points():
 
 @pytest.mark.parametrize("point", [
     (1, math.nan), (math.nan, 1), (1, math.inf), (math.inf, 1), (2, -math.inf),
-    (np.float64(math.nan), 1),
+    (np.float64(math.nan), 1), (99999999999999999999, 1), (4000000000, 3000000000),
 ])
 def test_distribution_rejects_non_finite_points(point):
     with pytest.raises(DataError, match=f"whole numbers, got x={point[0]}, y={point[1]}"):
