@@ -17,7 +17,6 @@ from .errors import DataError, NumericError
 
 __all__ = [
     "SynthSpec",
-    "truncated_constant",
     "truncated_probabilities",
     "sample_distribution",
     "exact_distribution",
@@ -48,24 +47,14 @@ def _validate_law(n: float, x_max: int) -> None:
         raise DataError(f"exponent must exceed 1, got {n}")
 
 
-def _powers(n: float, x_max: int) -> np.ndarray:
-    """x**(-n) for x = 1..x_max, the unnormalized truncated law."""
-    _validate_law(n, x_max)
-    return np.arange(1, x_max + 1, dtype=np.float64) ** -n
-
-
-def truncated_constant(n: float, x_max: int) -> float:
-    """Normalizer of the truncated law: 1 / sum_{x=1..x_max} x**(-n)."""
-    return 1.0 / float(_powers(n, x_max).sum())
-
-
 def truncated_probabilities(n: float, x_max: int) -> np.ndarray:
     """Probability vector over 1..x_max, summing to exactly 1.0.
 
     The last entry absorbs the float rounding remainder so downstream
     cumulative sums end at 1.0 exactly.
     """
-    p = _powers(n, x_max)
+    _validate_law(n, x_max)
+    p = np.arange(1, x_max + 1, dtype=np.float64) ** -n
     p /= p.sum()
     p[-1] = 1.0 - p[:-1].sum()
     return p

@@ -8,11 +8,11 @@ from lotkalaw import (
     DataError,
     NumericError,
     SynthSpec,
+    compute_constant,
     exact_distribution,
     fit_exponent_lsq,
     run_ks,
     sample_distribution,
-    truncated_constant,
     truncated_probabilities,
 )
 
@@ -21,7 +21,7 @@ from lotkalaw import (
 # law plumbing
 
 def test_truncated_constant_tiny_support():
-    assert truncated_constant(2.0, 2) == pytest.approx(0.8, rel=1e-12)
+    assert compute_constant(2.0, "sum", 2) == pytest.approx(0.8, rel=1e-12)
 
 
 def test_truncated_probabilities_sum_to_exactly_one():
@@ -37,8 +37,6 @@ def test_law_validation():
         truncated_probabilities(2.0, 1)
     with pytest.raises(DataError, match="exponent"):
         truncated_probabilities(1.0, 10)
-    with pytest.raises(DataError, match="exponent"):
-        truncated_constant(0.5, 10)
 
 
 def test_spec_validation():
@@ -139,7 +137,7 @@ def test_exact_distribution_validation():
 def test_exact_tables_conform_under_ks():
     for n in (2.0, 2.54, 3.0):
         dist = exact_distribution(n, 10_000, 100)
-        result = run_ks(dist, n, truncated_constant(n, 100), 1.63)
+        result = run_ks(dist, n, compute_constant(n, "sum", 100), 1.63)
         assert result.d_max_cumulative <= 0.01
         assert result.conforms_cumulative
         assert result.conforms_pointwise
