@@ -118,35 +118,23 @@ class PublicationRecord:
 class Corpus(Sequence):
     """Publication records as columns, with no object per record.
 
-    ``ids`` lists the record ids, ``years`` and ``offsets`` are read-only
-    int64, and record ``i``'s cleaned authors are the flat list slice
-    ``names[offsets[i]:offsets[i + 1]]``. ``corpus[i]`` is a :class:`PublicationRecord`.
-    Columns that do not line up (a year per id, offsets rising from 0 to
-    ``len(names)``) raise :class:`DataError`, as do records that break a
-    :class:`PublicationRecord` rule, names not yet cleaned and repeated ids.
+    ``Corpus(records)`` takes :class:`PublicationRecord` values, each
+    checked when it was made, and rejects a repeated id; text is read by
+    :func:`parse_records`. ``ids`` lists the record ids, ``years`` and
+    ``offsets`` are read-only int64, and record ``i``'s cleaned authors
+    are ``names[offsets[i]:offsets[i + 1]]``; ``corpus[i]`` is a record.
     """
 
-    def __init__(self, ids: list[str], years, offsets, names: list[str]) -> None:
-        ids, names = list(ids), list(names)
-        years = years.tolist() if isinstance(years, np.ndarray) else list(years)
-        if not (set(map(type, years)) <= {int} and 0 < min(years, default=1)
-                and max(years, default=1) < 2**63):
-            bad = next(year for year in years if type(year) is not int or not 0 < year < 2**63)
-            raise DataError(f"year must be a positive integer below 2^63, got {bad!r}")
-        self._set_columns(ids, years, offsets, names)
-        # _check_record's rules, names already clean, as C-level calls over
-        # whole columns; the loop over the records runs only to name a fault
-        if (all(map(str.__instancecheck__, ids)) and "" not in ids and len(set(ids)) == len(ids)
-                and np.diff(self.offsets).all() and all(map(str.__instancecheck__, names))
-                and list(filter(None, map(" ".join, map(str.split, names)))) == names):
-            return
-        offsets, seen = self.offsets.tolist(), set()
-        for rid, year, start, end in zip(ids, self.years.tolist(), offsets, offsets[1:]):
-            if _check_record(rid, year, names[start:end]) != names[start:end]:
-                raise DataError(f"record {rid!r}: authors {names[start:end]!r} are not "
-                                "all non-empty and cleaned with normalize_author")
-            if rid in seen or seen.add(rid):
-                raise DataError(f"duplicate record id {rid!r}")
+    def __init__(self, records: Iterable[PublicationRecord]) -> None:
+        records = list(records)
+        if not all(map(PublicationRecord.__instancecheck__, records)):
+            raise TypeError("a Corpus is built from PublicationRecord values")
+        ids = [rec.id for rec in records]
+        if len(set(ids)) != len(ids):
+            raise DataError(f"duplicate record id {Counter(ids).most_common(1)[0][0]!r}")
+        self._set_columns(ids, [rec.year for rec in records],
+                          [0, *accumulate(len(rec.authors) for rec in records)],
+                          list(chain.from_iterable(rec.authors for rec in records)))
 
     @classmethod
     def _of_checked(cls, ids: list[str], years, offsets, names: list[str]) -> "Corpus":
@@ -157,26 +145,13 @@ class Corpus(Sequence):
 
     def _set_columns(self, ids: list[str], years, offsets, names: list[str]) -> None:
         years, offsets = np.array(years, np.int64), np.array(offsets, np.int64)
-        if years.shape != (len(ids),) or offsets.shape != (len(ids) + 1,):
-            raise DataError(f"{len(ids)} ids need {len(ids)} years and {len(ids) + 1} offsets, "
-                            f"got shapes {years.shape} and {offsets.shape}")
-        if offsets[0] != 0 or offsets[-1] != len(names) or (np.diff(offsets) < 0).any():
-            raise DataError(f"offsets must rise from 0 to the {len(names)} names")
         years.flags.writeable = offsets.flags.writeable = False
         self.ids, self.years, self.offsets, self.names = ids, years, offsets, names
 
     @classmethod
     def from_records(cls, records: Iterable[PublicationRecord]) -> "Corpus":
-        """Columns of checked records, whose ids must not repeat; a Corpus is returned as it is."""
-        if isinstance(records, Corpus):
-            return records
-        records = list(records)
-        ids = [rec.id for rec in records]
-        if len(set(ids)) != len(ids):
-            raise DataError(f"duplicate record id {Counter(ids).most_common(1)[0][0]!r}")
-        return cls._of_checked(ids, [rec.year for rec in records],
-                               [0, *accumulate(len(rec.authors) for rec in records)],
-                               list(chain.from_iterable(rec.authors for rec in records)))
+        """``Corpus(records)``, but a Corpus is returned as it is."""
+        return records if isinstance(records, Corpus) else cls(records)
 
     def __len__(self) -> int:
         return len(self.ids)

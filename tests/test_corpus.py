@@ -423,39 +423,19 @@ def test_pipe_chunks_end_at_every_line_end(monkeypatch):
     assert max(peaks.values()) < 1.2 * peaks["\n"], peaks
 
 
-@pytest.mark.parametrize("years, offsets, names", [
-    ([2000], [0, 5], ["x"]),  # one year for two ids
-    ([2000, 2001], [0, 1], ["x"]),  # offsets one short
-    ([2000, 2001], [1, 1, 2], ["x", "y"]),  # offsets not from 0
-    ([2000, 2001], [0, 1, 3], ["x", "y"]),  # offsets past the names
-    ([2000, 2001], [0, 2, 1], ["x"]),  # offsets falling
-    ([[2000, 2001]], [0, 1, 2], ["x", "y"]),  # years not one column
-])
-def test_corpus_rejects_columns_that_do_not_line_up(years, offsets, names):
-    with pytest.raises(DataError):
-        Corpus(["a", "b"], years, offsets, names)
-
-
-def test_corpus_rejects_the_columns_of_invalid_records():
-    with pytest.raises(DataError, match="year must be a positive integer below 2\\^63, got -5"):
-        Corpus(["a", "a"], [2000, -5], [0, 1, 2], ["", "x"])
-
-
-@pytest.mark.parametrize("ids, years, offsets, names, message", [
-    (["a", 7], [2000, 2001], [0, 1, 2], ["x", "y"], "record id must be a string, got 7"),
-    (["a", ""], [2000, 2001], [0, 1, 2], ["x", "y"], "empty record id"),
-    (["a", "a"], [2000, 2001], [0, 1, 2], ["x", "y"], "duplicate record id 'a'"),
-    (["a", "b"], [2000, 0], [0, 1, 2], ["x", "y"], "positive integer below 2^63, got 0"),
-    (["a", "b"], [2000, 2001.0], [0, 1, 2], ["x", "y"], "below 2^63, got 2001.0"),
-    (["a", "b"], [2000, 2**63], [0, 1, 2], ["x", "y"], f"positive integer below 2^63, got {2**63}"),
-    (["a", "b"], [2000, 2001], [0, 2, 2], ["x", "y"], "record 'b' has no authors"),
-    (["a", "b"], [2000, 2001], [0, 1, 2], ["x", None], "record 'b': author None is not"),
-    (["a", "b"], [2000, 2001], [0, 1, 3], ["x", "y", ""], "record 'b': authors ['y', ''] are"),
-    (["a", "b"], [2000, 2001], [0, 1, 2], ["x", " y"], "record 'b': authors [' y'] are not"),
-])
-def test_corpus_checks_each_record_rule(ids, years, offsets, names, message):
-    with pytest.raises(DataError, match=re.escape(message)):
-        Corpus(ids, years, offsets, names)
+def test_corpus_is_built_from_records_only():
+    records = [PublicationRecord("P1", 2000, (" Smith  J", "")),
+               PublicationRecord("P2", 2001, ("A", "B"))]
+    parsed = parse_records("P1|2000| Smith  J;\nP2|2001|A;B\n")
+    for built in (Corpus(records), Corpus.from_records(records), Corpus(iter(records))):
+        assert built == parsed
+        assert (built.ids, built.years.tolist(), built.offsets.tolist(), built.names) == (
+            parsed.ids, parsed.years.tolist(), parsed.offsets.tolist(), parsed.names)
+        assert not built.years.flags.writeable and not built.offsets.flags.writeable
+    with pytest.raises(TypeError):
+        Corpus(["a", "b"], [2000, 2001], [0, 1, 2], ["x", "y"])
+    with pytest.raises(TypeError, match="PublicationRecord"):
+        Corpus([("P1", 2000, ("A",))])
 
 
 def test_corpus_from_records_rejects_a_repeated_id():
@@ -469,14 +449,6 @@ def test_checked_columns_are_not_checked_again():
     with mock.patch.object(Corpus, "__init__", side_effect=AssertionError):
         records = parse_records(text)
         assert parse_records(dump_records(records), "jsonl") == records
-        assert Corpus.from_records(list(records)) == records
-
-
-def test_corpus_copies_the_callers_arrays():
-    years = np.array([2000, 2001])
-    built = Corpus(["a", "b"], years, [0, 1, 2], ["x", "y"])
-    years[0] = 1999  # not frozen, and not shared
-    assert built[1].authors == ("y",) and built.years.tolist() == [2000, 2001]
 
 
 _PAD = st.sampled_from(["", " ", "\t", "\u2000", "\u3000"])
@@ -756,6 +728,10 @@ def test_record_rejects_what_its_dump_cannot_parse():
         PublicationRecord("P1", 2000, ("A", 7))
     with pytest.raises(DataError, match="year must be a positive integer, got True"):
         PublicationRecord("P1", True, ("A",))
+    with pytest.raises(DataError, match="year must be a positive integer, got 2001.0"):
+        PublicationRecord("P1", 2001.0, ("A",))
+    with pytest.raises(DataError, match=f"record 'P1': year {2**63} does not fit in 64 bits"):
+        PublicationRecord("P1", 2**63, ("A",))
 
 
 def test_record_cleans_its_own_author_names():
