@@ -86,7 +86,10 @@ def _check_record(rid, year, authors) -> list[str]:
         raise DataError(f"record {rid!r}: year {year} does not fit in 64 bits")
     if isinstance(authors, str):
         raise DataError(f"record {rid!r}: authors must be a list of names, not a string")
-    authors = authors if isinstance(authors, list) else list(authors)
+    try:
+        authors = authors if isinstance(authors, list) else list(authors)
+    except TypeError:  # not iterable
+        raise DataError(f"record {rid!r}: authors must be a list of names, got {authors!r}") from None
     try:  # normalize_author, with no Python call per name; str.split rejects a non-str
         names = list(filter(None, map(" ".join, map(str.split, authors))))
     except TypeError:

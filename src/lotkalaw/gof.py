@@ -19,7 +19,7 @@ nonstandard 2.54 used by the CAD study whose numbers ship as fixtures
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -42,6 +42,9 @@ COEFFICIENT_PRESETS = {
     "alpha05": 1.36,
     "alpha10": 1.22,
 }
+
+# The dense expected curve holds one float per integer level up to the largest x.
+_DENSE_MAX_X = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,13 @@ def ks_report(
     Expected cumulatives normally accumulate over the observed x levels
     only, matching how published worksheets tabulate them. With
     ``dense_expected`` the expected curve instead accumulates over every
-    integer from 1 up to each level, including levels nobody attained.
+    integer from 1 up to each level, including levels nobody attained;
+    a largest x above 1,000,000 raises :class:`DataError`.
     """
     xs = dist.xs
+    if dense_expected and xs[-1] > _DENSE_MAX_X:
+        raise DataError(f"the dense expected curve stops at x={_DENSE_MAX_X}, "
+                        f"but the largest x is {xs[-1]}")
     observed = dist.ys / dist.total_authors
     observed_cum = np.cumsum(observed)
     # One scalar expected_proportion per level: numpy's vectorized power
@@ -105,8 +112,8 @@ def ks_report(
 
 def critical_value(total_authors: int, coefficient: float) -> float:
     """Conformity threshold: coefficient / sqrt(total_authors)."""
-    if coefficient <= 0:
-        raise DataError(f"coefficient must be positive, got {coefficient}")
+    if not 0 < coefficient < inf:  # NaN fails too
+        raise DataError(f"coefficient must be finite and positive, got {coefficient}")
     if total_authors < 1:
         raise DataError(f"total_authors must be >= 1, got {total_authors}")
     return coefficient / sqrt(total_authors)

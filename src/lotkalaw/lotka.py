@@ -129,7 +129,7 @@ def compute_constant(n: float, method: str = "zeta", limit: int = 1_000_000) -> 
     plain partial sum of ``limit`` terms, which undershoots zeta by about
     ``limit**(1-n)/(n-1)`` and exists as an independent check.
     """
-    if n <= 1.0 + 1e-6:
+    if not n > 1.0 + 1e-6:  # NaN fails too
         raise NumericError(f"series diverges: exponent must exceed 1, got {n}")
     if method == "zeta":
         return 1.0 / _zeta_euler_maclaurin(n)

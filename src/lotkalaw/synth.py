@@ -43,7 +43,7 @@ class SynthSpec:
 def _validate_law(n: float, x_max: int) -> None:
     if x_max < 2:
         raise DataError(f"x_max must be >= 2, got {x_max}")
-    if n <= 1.0:
+    if not n > 1.0:  # NaN fails too
         raise DataError(f"exponent must exceed 1, got {n}")
 
 

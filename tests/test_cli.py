@@ -132,6 +132,26 @@ def test_ks_explicit_coefficient(capsys):
     assert float(summary_values(out)["coefficient"]) == 1.36
 
 
+@pytest.mark.parametrize("coefficient", ["inf", "nan"])
+def test_ks_coefficient_that_is_not_finite_exits_2(capsys, coefficient):
+    code, out, err = run(capsys, "ks", "--input", CAD, "--coefficient", coefficient,
+                         "--format", "json")
+    assert code == 2 and out == ""
+    assert err == f"data error: coefficient must be finite and positive, got {coefficient}\n"
+
+
+def test_ks_dense_expected_on_a_wide_table_exits_2(capsys, tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("1,1000000000\n2,100000000\n2000000,1\n")
+    code, out, err = run(capsys, "ks", "--input", str(path), "--preset", "paper")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "ks", "--input", str(path), "--preset", "paper",
+                         "--dense-expected")
+    assert code == 2 and out == ""
+    assert err == ("data error: the dense expected curve stops at x=1000000, "
+                   "but the largest x is 2000000\n")
+
+
 def test_ks_requires_threshold_choice(capsys):
     code, out, err = run(capsys, "ks", "--input", CAD)
     assert code == 1
@@ -351,6 +371,9 @@ def test_unknown_command_and_flag(capsys):
     assert code == 1
     code, _, _ = run(capsys, "fit", "--input", CAD, "--frobnicate")
     assert code == 1
+    code, out, err = run(capsys, "pattern", "--input", SAMPLE, "--period", "0")
+    assert code == 1 and out == ""
+    assert "--period must be >= 1" in err
 
 
 def test_missing_file_exits_2(capsys):
@@ -358,6 +381,11 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "cannot read" in err
+    code, out, err = run(capsys, "report", "--input", CAD, "--preset", "paper",
+                         "--plot-out", "no/such/dir/plot.csv")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("data error: cannot write no/such/dir/plot.csv")
 
 
 def test_malformed_distribution_exits_2(capsys, tmp_path):
@@ -366,6 +394,10 @@ def test_malformed_distribution_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "fit", "--input", str(path))
     assert code == 2
     assert "line 2" in err
+    path.write_text("x,y\n2,3,4\n")
+    code, out, err = run(capsys, "fit", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "data error: line 2: expected 'x,y', got '2,3,4'\n"
 
 
 def test_undetectable_input_exits_2(capsys, tmp_path):
@@ -457,6 +489,10 @@ def test_bad_c_method_exits_1(capsys):
     code, _, err = run(capsys, "fit", "--input", CAD, "--c-method", "magic")
     assert code == 1
     assert "c-method" in err
+    for flag, value in [("--c-method", "sum:0"), ("--c-digits", "x"), ("--c-digits", "-1")]:
+        code, out, err = run(capsys, "fit", "--input", CAD, flag, value)
+        assert code == 1 and out == ""
+        assert flag in err
 
 
 def test_explicit_input_kind_overrides_sniffing(capsys, tmp_path):

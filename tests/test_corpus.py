@@ -750,8 +750,9 @@ def test_hand_built_and_parsed_records_count_alike():
 
 
 def test_record_rejects_a_bare_string_author_list():
-    with pytest.raises(DataError, match="record 'P1': authors must be a list of names"):
-        PublicationRecord("P1", 2000, "Smith")
+    for authors in ("Smith", None, 5):
+        with pytest.raises(DataError, match="record 'P1': authors must be a list of names"):
+            PublicationRecord("P1", 2000, authors)
 
 
 def test_record_accepts_a_generator_of_names():

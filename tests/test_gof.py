@@ -15,6 +15,7 @@ from lotkalaw import (
     render_report_csv,
     run_ks,
 )
+from lotkalaw import gof
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,21 @@ def test_dense_expected_accumulates_missing_levels(cad_distribution, cad_fit):
     assert dense[-1].expected_cumulative > sparse[-1].expected_cumulative
 
 
+def test_dense_expected_stops_at_a_bounded_largest_x(monkeypatch):
+    # one valid line with a large x would otherwise ask for one float per level below it
+    wide = ProductivityDistribution(((1, 1000), (2, 100), (2000000, 1)))
+    assert ks_report(wide, 2.0, 0.6).x.tolist() == [1, 2, 2000000]
+    for dense_ks in (lambda: ks_report(wide, 2.0, 0.6, dense_expected=True),
+                     lambda: run_ks(wide, 2.0, 0.6, 2.54, dense_expected=True)):
+        with pytest.raises(DataError, match="stops at x=1000000, but the largest x is 2000000"):
+            dense_ks()
+    monkeypatch.setattr(gof, "_DENSE_MAX_X", 10)
+    at_bound = ProductivityDistribution(((1, 1000), (10, 1)))
+    assert ks_report(at_bound, 2.0, 0.6, dense_expected=True).x.tolist() == [1, 10]
+    with pytest.raises(DataError, match="stops at x=10, but the largest x is 11"):
+        ks_report(ProductivityDistribution(((1, 1000), (11, 1))), 2.0, 0.6, dense_expected=True)
+
+
 # ---------------------------------------------------------------------------
 # statistics
 
@@ -156,6 +172,9 @@ def test_critical_value_errors():
         critical_value(100, 0.0)
     with pytest.raises(DataError, match="coefficient"):
         critical_value(100, -1.0)
+    for coefficient in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match=f"finite and positive, got {coefficient}"):
+            critical_value(100, coefficient)
     with pytest.raises(DataError, match="total_authors"):
         critical_value(0, 1.36)
 

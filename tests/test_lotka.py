@@ -116,6 +116,8 @@ def test_fit_degenerate_cases(cad_distribution):
         fit_exponent_lsq(ProductivityDistribution(((1, 10),)))
     with pytest.raises(NumericError, match="degenerate"):
         fit_exponent_lsq(cad_distribution, max_x=1)
+    with pytest.raises(NumericError, match="no spread in log x"):
+        fit_exponent_lsq(ProductivityDistribution(((10**6, 2), (10**6 + 1, 1))))
 
 
 @pytest.mark.parametrize(
@@ -180,7 +182,7 @@ def test_constant_normalizes_proportions():
 
 
 def test_constant_divergence_guard():
-    for n in (1.0, 0.5, -2.0, 1.0000005):
+    for n in (1.0, 0.5, -2.0, 1.0000005, math.nan):
         with pytest.raises(NumericError, match="diverges"):
             compute_constant(n)
 

@@ -37,6 +37,10 @@ def test_law_validation():
         truncated_probabilities(2.0, 1)
     with pytest.raises(DataError, match="exponent"):
         truncated_probabilities(1.0, 10)
+    with pytest.raises(DataError, match="exponent must exceed 1, got nan"):
+        truncated_probabilities(float("nan"), 10)
+    with pytest.raises(DataError, match="exponent must exceed 1, got nan"):
+        SynthSpec(float("nan"), 10, 100, 1)
 
 
 def test_spec_validation():
