@@ -152,15 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_c_method(text: str) -> tuple[str, int]:
+def _parse_c_method(text: str) -> int | None:
     if text in ("zeta", "sum"):
-        return text, 1_000_000
+        return None if text == "zeta" else 1_000_000
     match = re.fullmatch(r"sum:(\d+)", text)
     if match:
         limit = int(match.group(1))
         if limit < 1:
             raise UsageError("--c-method sum:<terms> needs at least one term")
-        return "sum", limit
+        return limit
     raise UsageError(f"bad --c-method {text!r}; expected 'zeta' or 'sum:<terms>'")
 
 
@@ -183,7 +183,7 @@ def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
     elif args.command == "report" and args.output_format != "json":
         raise UsageError("report emits a json document; use --plot-out for csv plot data")
     if hasattr(args, "c_method"):
-        args.c_method, args.c_limit = _parse_c_method(args.c_method)
+        args.c_limit = _parse_c_method(args.c_method)
         args.c_digits = _parse_c_digits(args.c_digits)
     if hasattr(args, "coefficient"):
         if args.coefficient is not None and args.preset is not None:
@@ -222,7 +222,6 @@ def _distribution_for(args: argparse.Namespace) -> tuple[ProductivityDistributio
 def _fit_for(args: argparse.Namespace, dist: ProductivityDistribution):
     return fit_power_law(
         dist,
-        c_method=args.c_method,
         limit=args.c_limit,
         constant_digits=args.c_digits,
         max_x=args.truncate_x,

@@ -10,8 +10,8 @@ author proportions sum to one:
 
 The series is the zeta function at n. It is evaluated here with a short
 partial sum plus an Euler-Maclaurin tail correction, which is cheap and
-accurate to better than 1e-8 for n >= 1.5; a plain truncated sum is kept
-as a slower cross-check route.
+accurate to better than 1e-8 for n >= 1.5; a plain partial sum of a
+given number of terms is the slower cross-check.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def fit_exponent_lsq(
     return LotkaFit(n=-slope, intercept=intercept, sums=sums)
 
 
-def _zeta_euler_maclaurin(n: float, cutoff: int = EULER_MACLAURIN_CUTOFF) -> float:
-    head = float((np.arange(1, cutoff, dtype=np.float64) ** -n).sum())
-    p = float(cutoff)
+def _zeta_euler_maclaurin(n: float) -> float:
+    head = _partial_power_sum(n, EULER_MACLAURIN_CUTOFF - 1)
+    p = float(EULER_MACLAURIN_CUTOFF)
     tail = p ** (1.0 - n) / (n - 1.0) + 0.5 * p**-n + n * p ** (-n - 1.0) / 12.0
     return head + tail
 
@@ -122,30 +122,27 @@ def _partial_power_sum(n: float, limit: int) -> float:
     return total
 
 
-def compute_constant(n: float, method: str = "zeta", limit: int = 1_000_000) -> float:
+def compute_constant(n: float, limit: int | None = None) -> float:
     """Normalizing constant C = 1/zeta(n).
 
-    method 'zeta' uses the Euler-Maclaurin evaluation; 'sum' divides by a
-    plain partial sum of ``limit`` terms, which undershoots zeta by about
-    ``limit**(1-n)/(n-1)`` and exists as an independent check.
+    With ``limit`` None, zeta comes from Euler-Maclaurin; an integer divides
+    by the partial sum of ``limit`` terms, the law truncated at x = limit,
+    which undershoots zeta by about ``limit**(1-n)/(n-1)``.
     """
     if not n > 1.0 + 1e-6:  # NaN fails too
         raise NumericError(f"series diverges: exponent must exceed 1, got {n}")
-    if method == "zeta":
+    if limit is None:
         return 1.0 / _zeta_euler_maclaurin(n)
-    if method == "sum":
-        return 1.0 / _partial_power_sum(n, limit)
-    raise DataError(f"unknown constant method {method!r} (expected 'zeta' or 'sum')")
+    return 1.0 / _partial_power_sum(n, limit)
 
 
 def fit_power_law(
     dist: ProductivityDistribution,
-    c_method: str = "zeta",
-    limit: int = 1_000_000,
+    limit: int | None = None,
     constant_digits: int | None = 2,
     max_x: int | None = None,
 ) -> LotkaFit:
-    """Fit the exponent and attach the normalizing constant.
+    """Fit the exponent and attach the constant ``compute_constant(n, limit)``.
 
     ``constant_digits`` rounds the exponent before the constant is
     computed (None skips the rounding). The default of 2 mirrors the
@@ -155,7 +152,7 @@ def fit_power_law(
     """
     fit = fit_exponent_lsq(dist, max_x=max_x)
     n_for_c = round(fit.n, constant_digits) if constant_digits is not None else fit.n
-    return replace(fit, c=compute_constant(n_for_c, method=c_method, limit=limit))
+    return replace(fit, c=compute_constant(n_for_c, limit))
 
 
 def expected_proportion(n: float, c: float, x: int) -> float:

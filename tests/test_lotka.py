@@ -159,13 +159,13 @@ def test_constant_sum_route_matches_within_tail_bound():
     for n in np.arange(1.5, 5.01, 0.25):
         n = float(n)
         tail_bound = limit ** (1.0 - n) / (n - 1.0)
-        diff = abs(compute_constant(n) - compute_constant(n, "sum", limit))
+        diff = abs(compute_constant(n) - compute_constant(n, limit))
         assert diff <= 1e-6 + tail_bound
 
 
 def test_constant_sum_steep_exponent():
     # the tail is negligible here, both routes agree tightly
-    c_sum = compute_constant(10.0, "sum", 1_000_000)
+    c_sum = compute_constant(10.0, 1_000_000)
     assert c_sum == pytest.approx(0.9990064, abs=1e-6)
     assert c_sum == pytest.approx(compute_constant(10.0), abs=1e-9)
 
@@ -188,10 +188,18 @@ def test_constant_divergence_guard():
 
 
 def test_constant_bad_method_and_limit():
-    with pytest.raises(DataError, match="unknown constant method"):
-        compute_constant(2.0, "series")
     with pytest.raises(DataError, match="limit"):
-        compute_constant(2.0, "sum", 0)
+        compute_constant(2.0, 0)
+
+
+def test_constant_limit_alone_picks_the_evaluation(cad_distribution):
+    # None is the zeta series; a count is the partial sum, also inside a fit
+    assert compute_constant(2.0, None) == compute_constant(2.0)
+    with pytest.raises(DataError, match="sum limit must be >= 1, got 0"):
+        fit_power_law(cad_distribution, limit=0)
+    fit = fit_power_law(cad_distribution, limit=1000, constant_digits=None)
+    assert fit.c == compute_constant(fit.n, 1000)
+    assert fit.c != compute_constant(fit.n)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from lotkalaw import (
 # law plumbing
 
 def test_truncated_constant_tiny_support():
-    assert compute_constant(2.0, "sum", 2) == pytest.approx(0.8, rel=1e-12)
+    assert compute_constant(2.0, 2) == pytest.approx(0.8, rel=1e-12)
 
 
 def test_truncated_probabilities_sum_to_exactly_one():
@@ -141,7 +141,7 @@ def test_exact_distribution_validation():
 def test_exact_tables_conform_under_ks():
     for n in (2.0, 2.54, 3.0):
         dist = exact_distribution(n, 10_000, 100)
-        result = run_ks(dist, n, compute_constant(n, "sum", 100), 1.63)
+        result = run_ks(dist, n, compute_constant(n, 100), 1.63)
         assert result.d_max_cumulative <= 0.01
         assert result.conforms_cumulative
         assert result.conforms_pointwise
