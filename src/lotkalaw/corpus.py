@@ -418,6 +418,8 @@ def count_productivity(
     so total contributions always equal the summed author-list lengths).
     Straight counting credits only the first listed author.
     """
+    if method not in ("complete", "straight"):
+        raise DataError(f"unknown counting method {method!r} (expected 'complete' or 'straight')")
     method = CountingMethod(method)
     corpus = Corpus.from_records(records)
     if not corpus:

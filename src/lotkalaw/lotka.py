@@ -17,6 +17,7 @@ given number of terms is the slower cross-check.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from math import inf
 
 import numpy as np
 
@@ -131,6 +132,8 @@ def compute_constant(n: float, limit: int | None = None) -> float:
     """
     if not n > 1.0 + 1e-6:  # NaN fails too
         raise NumericError(f"series diverges: exponent must exceed 1, got {n}")
+    if n == inf:
+        raise NumericError(f"exponent must be finite, got {n}")
     if limit is None:
         return 1.0 / _zeta_euler_maclaurin(n)
     return 1.0 / _partial_power_sum(n, limit)
@@ -157,6 +160,8 @@ def fit_power_law(
 
 def expected_proportion(n: float, c: float, x: int) -> float:
     """Modelled share of authors at productivity x: c * x**(-n)."""
+    if not -inf < n < inf:  # NaN fails too
+        raise DataError(f"exponent must be finite, got {n}")
     if not 0.0 < c <= 1.0:
         raise DataError(f"constant must lie in (0, 1], got {c}")
     if x < 1:

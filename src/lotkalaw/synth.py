@@ -48,10 +48,10 @@ def _validate_law(n: float, x_max: int) -> None:
 
 
 def truncated_probabilities(n: float, x_max: int) -> np.ndarray:
-    """Probability vector over 1..x_max, summing to exactly 1.0.
+    """Probability vector over 1..x_max, summing to 1.0 within one ulp.
 
-    The last entry absorbs the float rounding remainder so downstream
-    cumulative sums end at 1.0 exactly.
+    The last entry is 1.0 minus the sum of the others; ``np.cumsum(p)[-1]``
+    can still be tens of ulp off 1.0, so a CDF is pinned by its caller.
     """
     _validate_law(n, x_max)
     p = np.arange(1, x_max + 1, dtype=np.float64) ** -n

@@ -566,6 +566,13 @@ def test_counting_accepts_strings():
     assert count_productivity(corpus, "straight").points == ((3, 1),)
 
 
+def test_counting_rejects_an_unknown_method():
+    corpus = _corpus(["A"])
+    with pytest.raises(DataError, match="unknown counting method 'bogus' "
+                                        r"\(expected 'complete' or 'straight'\)"):
+        count_productivity(corpus, "bogus")
+
+
 def test_counting_empty_corpus():
     with pytest.raises(DataError, match="empty corpus"):
         count_productivity([], CountingMethod.COMPLETE)

@@ -209,6 +209,16 @@ def test_run_ks_conforming_case():
     assert result.conforms_cumulative
 
 
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), float("-inf")])
+def test_run_ks_rejects_an_exponent_that_is_not_finite(n):
+    # NaN gave NaN statistics and inf a plausible verdict, both without an error
+    dist = ProductivityDistribution(((1, 10), (2, 3)))
+    with pytest.raises(DataError, match=f"exponent must be finite, got {n}"):
+        run_ks(dist, n, 0.6, 2.54)
+    with pytest.raises(DataError, match=f"exponent must be finite, got {n}"):
+        ks_report(dist, n, 0.6, dense_expected=True)
+
+
 def test_run_ks_to_dict_round_trip(cad_distribution, cad_fit):
     result = run_ks(cad_distribution, cad_fit.n, cad_fit.c, 1.63)
     doc = result.to_dict()

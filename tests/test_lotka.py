@@ -187,6 +187,13 @@ def test_constant_divergence_guard():
             compute_constant(n)
 
 
+def test_constant_rejects_an_infinite_exponent():
+    # the Euler-Maclaurin tail would compute inf * 0 and return NaN
+    for limit in (None, 100):
+        with pytest.raises(NumericError, match="exponent must be finite, got inf"):
+            compute_constant(math.inf, limit)
+
+
 def test_constant_bad_method_and_limit():
     with pytest.raises(DataError, match="limit"):
         compute_constant(2.0, 0)
@@ -243,6 +250,9 @@ def test_expected_proportion_domain_errors():
         expected_proportion(2.0, 0.0, 1)
     with pytest.raises(DataError, match="constant"):
         expected_proportion(2.0, 1.2, 1)
+    for n in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DataError, match=f"exponent must be finite, got {n}"):
+            expected_proportion(n, 0.6, 2)
 
 
 def test_expected_distribution_values():

@@ -32,6 +32,13 @@ def test_truncated_probabilities_sum_to_exactly_one():
         assert p[0] / p[1] == pytest.approx(2.0**n, rel=1e-9)
 
 
+def test_truncated_probabilities_sum_to_one_within_an_ulp():
+    for n in np.arange(1.05, 3.96, 0.05):
+        for x_max in (2, 3, 10, 50, 100, 1000, 10_000):
+            p = truncated_probabilities(float(n), x_max)
+            assert abs(p.sum() - 1.0) <= np.spacing(1.0), (n, x_max)
+
+
 def test_law_validation():
     with pytest.raises(DataError, match="x_max"):
         truncated_probabilities(2.0, 1)
