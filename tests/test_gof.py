@@ -211,7 +211,7 @@ def test_run_ks_conforming_case():
 
 @pytest.mark.parametrize("n", [float("nan"), float("inf"), float("-inf")])
 def test_run_ks_rejects_an_exponent_that_is_not_finite(n):
-    # NaN gave NaN statistics and inf a plausible verdict, both without an error
+    # unchecked, NaN gives NaN statistics and inf a plausible verdict, with no error
     dist = ProductivityDistribution(((1, 10), (2, 3)))
     with pytest.raises(DataError, match=f"exponent must be finite, got {n}"):
         run_ks(dist, n, 0.6, 2.54)
