@@ -22,7 +22,7 @@ from math import inf
 import numpy as np
 
 from .corpus import ProductivityDistribution
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, _require_int
 
 __all__ = [
     "RegressionSums",
@@ -113,6 +113,7 @@ def _zeta_euler_maclaurin(n: float) -> float:
 
 
 def _partial_power_sum(n: float, limit: int) -> float:
+    _require_int("sum limit", limit)
     if limit < 1:
         raise DataError(f"sum limit must be >= 1, got {limit}")
     total = 0.0

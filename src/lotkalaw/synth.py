@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ProductivityDistribution
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, _require_int
 
 __all__ = [
     "SynthSpec",
@@ -34,17 +34,26 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         _validate_law(self.n, self.x_max)
+        _require_int("author_count", self.author_count)
         if self.author_count < 1:
             raise DataError(f"author_count must be >= 1, got {self.author_count}")
+        _require_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise DataError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 def _validate_law(n: float, x_max: int) -> None:
+    _require_int("x_max", x_max)
     if x_max < 2:
         raise DataError(f"x_max must be >= 2, got {x_max}")
     if not n > 1.0:  # NaN fails too
         raise DataError(f"exponent must exceed 1, got {n}")
+
+
+def _points(counts: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(x, count) rows of the positive entries; ``counts[i]`` is level i + 1."""
+    idx = np.flatnonzero(counts > 0)
+    return tuple(zip((idx + 1).tolist(), counts[idx].tolist()))
 
 
 def truncated_probabilities(n: float, x_max: int) -> np.ndarray:
@@ -64,21 +73,24 @@ def sample_distribution(spec: SynthSpec) -> ProductivityDistribution:
     """Draw author productivities independently from the truncated law.
 
     Reproducibility contract: the stream is numpy's PCG64 generator
-    seeded with ``spec.seed``; ``author_count`` uniform float64 values
-    are drawn in one call and mapped through the inverse CDF by a
-    right-side bisect on the cumulative probability vector. PCG64's bit
-    stream and the uniform-double conversion are stable across platforms
-    and numpy releases, so one spec always yields one table.
+    seeded with ``spec.seed``, and ``author_count`` uniform float64
+    values ``u`` are drawn in one call. With ``cdf = np.cumsum(p)`` and
+    its last entry pinned to 1.0, level x gets the uniforms in
+    ``[cdf[x-2], cdf[x-1])``, level 1 those in ``[0, cdf[0])``: the
+    table that a right-side bisect of each ``u`` into ``cdf`` gives.
+    The code sorts ``u`` and counts the uniforms below each CDF edge.
+    PCG64's bit stream and the uniform-double conversion are stable
+    across platforms and numpy releases, so one spec always yields one
+    table.
     """
     p = truncated_probabilities(spec.n, spec.x_max)
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     u = rng.random(spec.author_count)
-    draws = np.searchsorted(cdf, u, side="right") + 1
-    counts = np.bincount(draws, minlength=spec.x_max + 1)
-    points = tuple((int(x), int(counts[x])) for x in range(1, spec.x_max + 1) if counts[x])
-    return ProductivityDistribution(points, provenance=f"sampled:seed={spec.seed}")
+    u.sort()
+    counts = np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)
+    return ProductivityDistribution(_points(counts), provenance=f"sampled:seed={spec.seed}")
 
 
 def exact_distribution(n: float, author_count: int, x_max: int) -> ProductivityDistribution:
@@ -87,11 +99,11 @@ def exact_distribution(n: float, author_count: int, x_max: int) -> ProductivityD
     Zero rows are dropped. If every row rounds to zero the requested
     corpus is too small to represent the law and NumericError is raised.
     """
+    _require_int("author_count", author_count)
     if author_count < 1:
         raise DataError(f"author_count must be >= 1, got {author_count}")
     p = truncated_probabilities(n, x_max)
-    y = np.rint(author_count * p).astype(np.int64)
-    points = tuple((int(x + 1), int(y[x])) for x in range(x_max) if y[x] > 0)
+    points = _points(np.rint(author_count * p).astype(np.int64))
     if not points:
         raise NumericError(
             "all expected counts round to zero; increase author_count or the exponent"

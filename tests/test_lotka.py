@@ -199,6 +199,12 @@ def test_constant_bad_method_and_limit():
         compute_constant(2.0, 0)
 
 
+@pytest.mark.parametrize("limit", [2.5, 1e6, 10.0, "10", True])
+def test_constant_limit_must_be_an_integer(limit):
+    with pytest.raises(DataError, match=rf"sum limit must be an integer, got {limit!r}"):
+        compute_constant(2.0, limit)
+
+
 def test_constant_limit_alone_picks_the_evaluation(cad_distribution):
     # None is the zeta series; a count is the partial sum, also inside a fit
     assert compute_constant(2.0, None) == compute_constant(2.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from lotkalaw import (
@@ -61,6 +63,32 @@ def test_spec_validation():
         SynthSpec(2.0, 10, 1, 1)
 
 
+@pytest.mark.parametrize("value", [100.5, 10.0, True, "10"])
+def test_synth_integers_must_be_integers(value):
+    # a float x_max once drew a table over 1..101, and a float
+    # author_count returned an exact table
+    with pytest.raises(DataError, match=rf"x_max must be an integer, got {value!r}"):
+        SynthSpec(2.0, 1000, value, 0)
+    with pytest.raises(DataError, match=rf"x_max must be an integer, got {value!r}"):
+        truncated_probabilities(2.0, value)
+    with pytest.raises(DataError, match=rf"author_count must be an integer, got {value!r}"):
+        SynthSpec(2.0, value, 10, 0)
+    with pytest.raises(DataError, match=rf"author_count must be an integer, got {value!r}"):
+        exact_distribution(2.0, value, 10)
+    with pytest.raises(DataError, match=rf"seed must be an integer, got {value!r}"):
+        SynthSpec(2.0, 10, 10, value)
+    with pytest.raises(DataError, match=r"author_count must be an integer, got 1000\.7"):
+        exact_distribution(2.0, 1000.7, 10)
+    with pytest.raises(DataError, match=r"x_max must be an integer, got 3\.5"):
+        truncated_probabilities(2.0, 3.5)
+
+
+def test_synth_accepts_numpy_integers():
+    spec = SynthSpec(2.0, np.int64(5), np.int64(3), np.uint64(42))
+    assert sample_distribution(spec).points == ((1, 3), (2, 2))
+    assert exact_distribution(2.0, np.int32(10), np.int64(2)).points == ((1, 8), (2, 2))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -91,6 +119,65 @@ def test_sample_frequencies_track_the_law():
     dist = sample_distribution(SynthSpec(2.0, 100_000, 2, 123))
     share = dict(dist.points)[1] / 100_000
     assert share == pytest.approx(0.8, abs=0.005)
+
+
+def _bisect_table(spec):
+    # the documented contract: a right-side bisect of each uniform into
+    # the pinned CDF, then a count per level
+    cdf = np.cumsum(truncated_probabilities(spec.n, spec.x_max))
+    cdf[-1] = 1.0
+    u = np.random.Generator(np.random.PCG64(spec.seed)).random(spec.author_count)
+    counts = np.bincount(np.searchsorted(cdf, u, side="right") + 1, minlength=spec.x_max + 1)
+    return tuple((x, int(counts[x])) for x in range(1, spec.x_max + 1) if counts[x])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.floats(1.01, 6.0),
+    st.integers(1, 5000),
+    st.integers(2, 3000),
+    st.integers(0, 2**64 - 1),
+)
+def test_sample_matches_the_bisect_contract(n, author_count, x_max, seed):
+    spec = SynthSpec(n, author_count, x_max, seed)
+    assert sample_distribution(spec).points == _bisect_table(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SynthSpec(2.0, 1, 2, 0),
+        SynthSpec(3.0, 7, 3, 1),
+        SynthSpec(1.05, 2000, 10**5, 2),  # wide, sparse support
+        # cumsum reaches 1.0 at level 99,949: the pinned CDF is not
+        # monotone and the last 52 levels cannot be drawn
+        SynthSpec(3.0, 5000, 10**5, 3),
+        SynthSpec(4.0, 3000, 10**6, 4),  # the last probability is 0.0
+        SynthSpec(2.0, 1000, 50, 2**64 - 1),
+    ],
+    ids=["one-author", "x_max-3", "sparse-1e5", "cdf-not-monotone", "last-p-zero", "max-seed"],
+)
+def test_sample_matches_the_bisect_contract_on_edges(spec):
+    points = sample_distribution(spec).points
+    assert points == _bisect_table(spec)
+    assert sum(y for _, y in points) == spec.author_count
+
+
+def test_sample_gives_a_uniform_on_a_cdf_edge_to_the_level_above(monkeypatch):
+    # PCG64 almost never lands on an edge, so feed uniforms that do
+    cdf = np.cumsum(truncated_probabilities(2.0, 3))
+    u = np.array([cdf[1], 0.0, cdf[0], cdf[0]])
+
+    class FixedUniforms:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, size):
+            return u[:size].copy()
+
+    monkeypatch.setattr(np.random, "Generator", FixedUniforms)
+    spec = SynthSpec(2.0, 4, 3, 0)
+    assert sample_distribution(spec).points == _bisect_table(spec) == ((1, 1), (2, 2), (3, 1))
 
 
 @pytest.mark.parametrize("n", [1.8, 2.0, 2.54, 3.0])
