@@ -201,11 +201,10 @@ def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
 # input handling
 
 def _load_input(args: argparse.Namespace) -> Corpus | ProductivityDistribution:
-    try:
-        data = Path(args.input).read_bytes()
+    try:  # no local for the bytes: read_input can free them once they are decoded
+        return read_input(Path(args.input).read_bytes(), args.input_kind)
     except OSError as exc:
         raise DataError(f"cannot read {args.input}: {exc.strerror}") from None
-    return read_input(data, args.input_kind)
 
 
 def _distribution_for(args: argparse.Namespace) -> tuple[ProductivityDistribution, Corpus | None]:
@@ -274,11 +273,6 @@ def cmd_fit(args: argparse.Namespace) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-# Order of the ks CSV summary after the fit's n, c and intercept.
-_KS_SUMMARY_KEYS = ("total_authors", "coefficient", "critical_value", "d_max_pointwise",
-                    "conforms_pointwise", "d_max_cumulative", "conforms_cumulative")
-
-
 def cmd_ks(args: argparse.Namespace) -> str:
     dist, _ = _distribution_for(args)
     fit, result, doc = _ks_for(args, dist)
@@ -286,7 +280,7 @@ def cmd_ks(args: argparse.Namespace) -> str:
         rows = [dict(zip(result.rows.dtype.names, row)) for row in result.rows.tolist()]
         return _json_doc({"fit": fit.to_dict(), "result": doc, "rows": rows})
     summary = [("n", fit.n), ("c", fit.c), ("intercept", fit.intercept)]
-    summary += [(k, doc[k]) for k in _KS_SUMMARY_KEYS if k in doc]
+    summary += doc.items()
     return render_report_csv(result.rows) + "\nmetric,value\n" + _metric_lines(summary)
 
 

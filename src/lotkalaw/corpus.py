@@ -288,7 +288,7 @@ def _pipe_columns(text: str) -> Corpus | None:
     """
     ids: list[str] = []
     seen: set[str] = set()
-    years, sizes, names = [], [], []
+    years, sizes, names = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
     start = 0
     while start < len(text):
         cut = _LINE_END.search(text, start + _CHUNK_CHARS)
@@ -319,8 +319,6 @@ def _pipe_columns(text: str) -> Corpus | None:
         years.append(chunk_years)
         sizes.append(counts)
         names += slots
-    if not ids:
-        return Corpus._of_checked([], [], [0], [])
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
     return Corpus._of_checked(ids, np.concatenate(years), offsets, names)
 
@@ -367,6 +365,7 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     start a table; anything else raises :class:`DataError`.
     """
     text = _decode(data)
+    del data  # a caller that passed the only reference frees the bytes before the parse
     if kind == "auto":
         # up to the next newline, then to any line boundary: no full split
         first = re.search(r"\S[^\n]*", text)

@@ -49,18 +49,18 @@ _DENSE_MAX_X = 1_000_000
 
 @dataclass(frozen=True)
 class KSResult:
-    """Both statistics, the critical value and the two verdicts.
+    """Both statistics, the critical value and the verdicts, in ``ks`` CSV summary order.
 
     ``rows`` is the :func:`ks_report` table the statistics were taken
     from; it is left out of equality, ``repr`` and :meth:`to_dict`.
     """
 
-    d_max_pointwise: float
-    d_max_cumulative: float
-    critical_value: float
-    coefficient: float
     total_authors: int
+    coefficient: float
+    critical_value: float
+    d_max_pointwise: float
     conforms_pointwise: bool
+    d_max_cumulative: float
     conforms_cumulative: bool
     rows: np.recarray = field(compare=False, repr=False)
 

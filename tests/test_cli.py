@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -483,6 +484,22 @@ def test_ks_report_runs_once_per_invocation(capsys, monkeypatch, command):
     code, _, _ = run(capsys, command, "--input", CAD, "--preset", "paper")
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 keeps call arguments on the caller's stack")
+def test_cli_keeps_no_reference_to_the_input_bytes(capsys, monkeypatch):
+    # read_input frees the bytes after decoding only if the CLI holds no other reference
+    refs = []
+
+    def spy(data, kind):
+        refs.append(sys.getrefcount(data))  # this frame's name and getrefcount's argument
+        return cli_read_input(data, kind)
+
+    cli_read_input = cli.read_input
+    monkeypatch.setattr(cli, "read_input", spy)
+    code, _, _ = run(capsys, "ingest", "--input", SAMPLE)
+    assert code == 0
+    assert refs == [2]
 
 
 def test_bad_c_method_exits_1(capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -187,6 +188,28 @@ def test_read_input_explicit_kind_skips_sniffing():
         read_input("x,y\n1,9\n", "pipe")
     with pytest.raises(DataError, match="unknown record format"):
         read_input("P1|2005|A\n", "csv")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 keeps call arguments on the caller's stack")
+def test_read_input_frees_bytes_it_holds_the_only_reference_to():
+    text = "".join(f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i}\n" for i in range(20_000))
+    size = len(text.encode("utf-8"))
+    peaks = []
+    for held in (True, False):
+        tracemalloc.start()
+        try:  # no call inside an assert: pytest's rewrite would keep its arguments alive
+            if held:
+                data = text.encode("utf-8")
+                corpus = read_input(data, "pipe")
+                del data
+            else:  # the bytes live only in read_input's frame, which drops them once decoded
+                corpus = read_input(text.encode("utf-8"), "pipe")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 20_000
+        del corpus
+    assert peaks[0] - peaks[1] > 0.8 * size, (peaks, size)
 
 
 def test_read_input_rejects_empty_and_unknown_layouts():
