@@ -14,7 +14,7 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from .corpus import Corpus, PublicationRecord
-from .errors import DataError
+from .errors import DataError, _require_int
 
 __all__ = [
     "BUCKET_LABELS",
@@ -102,17 +102,23 @@ def authorship_pattern(
     ``origin_year`` anchors the first period and defaults to the
     earliest year in the corpus. A record dated before the origin has no
     period to land in and raises DataError naming the record, as do an
-    origin below 1 and a table of more than 10,000 periods.
+    origin below 1, a table of more than 10,000 periods and a period
+    length or origin that is not an integer.
     """
     corpus = Corpus.from_records(records)
     if not corpus:
         raise DataError("empty corpus: no records to bucket")
+    _require_int("period_length", period_length)
     if period_length < 1:
         raise DataError(f"period_length must be >= 1, got {period_length}")
-    if origin_year is not None and origin_year < 1:
-        raise DataError(f"origin year must be positive, got {origin_year}")
+    if origin_year is not None:
+        _require_int("origin_year", origin_year)
+        if origin_year < 1:
+            raise DataError(f"origin year must be positive, got {origin_year}")
     years, sizes = corpus.years, np.diff(corpus.offsets)
-    origin = int(years.min()) if origin_year is None else origin_year
+    # Python ints, so that period_bins holds no numpy integer
+    period_length = int(period_length)
+    origin = int(years.min() if origin_year is None else origin_year)
     early = np.flatnonzero(years < origin)
     if early.size:
         i = early[0]

@@ -172,12 +172,16 @@ class Corpus(Sequence):
         return list(self) == list(other)
 
 
+_BOOLS = (bool, np.bool_)  # int() takes them, but a bool is no count
+
+
 @dataclass(frozen=True)
 class ProductivityDistribution:
     """Frequency table of author productivity.
 
     ``points`` holds whole ``(x, y)`` pairs, strictly increasing positive
-    ``x`` and positive ``y``; gaps in ``x`` mean zero authors there.
+    ``x`` and positive ``y``; gaps in ``x`` mean zero authors there. A
+    whole float or a numpy row will do; a bool is refused.
     ``provenance`` says where the table came from (loaded file, counted
     corpus, synthetic draw) and never affects any computation.
 
@@ -197,12 +201,16 @@ class ProductivityDistribution:
 
     def __post_init__(self) -> None:
         pts, prev, authors, contributions = [], 0, 0, 0
-        for gx, gy in map(tuple, self.points):
+        for row in self.points:
+            try:
+                gx, gy = row
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise DataError(f"distribution row must be an (x, y) pair, got {row!r}") from None
             try:
                 x, y = int(gx), int(gy)
-            except (ValueError, OverflowError):  # NaN, infinity
+            except (TypeError, ValueError, OverflowError):  # None, a string, NaN, infinity
                 x = y = None
-            if x != gx or y != gy:
+            if x is None or x != gx or y != gy or isinstance(gx, _BOOLS) or isinstance(gy, _BOOLS):
                 raise DataError(f"x and y must be whole numbers, got x={gx}, y={gy}")
             if x <= prev:
                 raise DataError(f"x values must be strictly increasing and >= 1, got {x}")
@@ -364,6 +372,9 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     lines, a ``|`` marks pipe records, and ``x,y`` or two integers
     start a table; anything else raises :class:`DataError`.
     """
+    if kind not in ("auto", "pipe", "jsonl", "distribution"):
+        raise DataError(f"unknown record format {kind!r} "
+                        "(expected 'auto', 'pipe', 'jsonl' or 'distribution')")
     text = _decode(data)
     del data  # a caller that passed the only reference frees the bytes before the parse
     if kind == "auto":

@@ -97,13 +97,18 @@ def exact_distribution(n: float, author_count: int, x_max: int) -> ProductivityD
     """Noiseless table: expected counts rounded to nearest integers.
 
     Zero rows are dropped. If every row rounds to zero the requested
-    corpus is too small to represent the law and NumericError is raised.
+    corpus is too small to represent the law and NumericError is raised;
+    an expected count that reaches 2^63 raises DataError.
     """
     _require_int("author_count", author_count)
     if author_count < 1:
         raise DataError(f"author_count must be >= 1, got {author_count}")
     p = truncated_probabilities(n, x_max)
-    points = _points(np.rint(author_count * p).astype(np.int64))
+    # the first test keeps a huge int out of the float product, which would overflow
+    if author_count >= 2**63 or (expected := np.rint(author_count * p)).max() >= 2**63:
+        raise DataError(f"author_count {author_count} is too large: an expected count "
+                        "reaches 2^63, past 64 bits")
+    points = _points(expected.astype(np.int64))
     if not points:
         raise NumericError(
             "all expected counts round to zero; increase author_count or the exponent"

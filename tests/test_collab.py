@@ -1,6 +1,8 @@
 """Authorship pattern bucketing and collaboration metrics."""
 
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +112,22 @@ def test_pattern_and_metrics_match_a_per_record_tally():
         metrics = collab_metrics(records)
         assert metrics.single_count == sum(len(rec.authors) == 1 for rec in records)
         assert metrics.collaborative_index == sum(len(rec.authors) for rec in records) / len(records)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("period_length", 2.5), ("period_length", True), ("origin_year", 1990.5), ("origin_year", "1990"),
+])
+def test_pattern_arguments_must_be_integers(name, value):
+    with pytest.raises(DataError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+        authorship_pattern([_rec(0, 2000, 1)], **{name: value})
+
+
+def test_pattern_numpy_integer_arguments_give_python_int_bins():
+    records = [_rec(0, 1999, 1), _rec(1, 2004, 2)]
+    table = authorship_pattern(records, period_length=np.int64(3), origin_year=np.int64(1999))
+    assert table == authorship_pattern(records, period_length=3, origin_year=1999)
+    assert {type(year) for pair in table.period_bins for year in pair} == {int}
+    assert json.loads(json.dumps(table.to_dict()))["period_bins"] == [[1999, 2001], [2002, 2004]]
 
 
 def test_pattern_requires_records_and_sane_period():

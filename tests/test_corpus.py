@@ -190,6 +190,12 @@ def test_read_input_explicit_kind_skips_sniffing():
         read_input("P1|2005|A\n", "csv")
 
 
+def test_read_input_names_every_kind():
+    with pytest.raises(DataError, match=re.escape(
+            "unknown record format 'bogus' (expected 'auto', 'pipe', 'jsonl' or 'distribution')")):
+        read_input(b"P1|2005|A\n", "bogus")
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 keeps call arguments on the caller's stack")
 def test_read_input_frees_bytes_it_holds_the_only_reference_to():
     text = "".join(f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i}\n" for i in range(20_000))
@@ -725,10 +731,17 @@ def test_distribution_rejects_fractional_points():
 @pytest.mark.parametrize("point", [
     (1, math.nan), (math.nan, 1), (1, math.inf), (math.inf, 1), (2, -math.inf),
     (np.float64(math.nan), 1), (99999999999999999999, 1), (4000000000, 3000000000),
+    (None, 1), (True, 5), (1, np.True_),
 ])
 def test_distribution_rejects_non_finite_points(point):
     with pytest.raises(DataError, match=f"whole numbers, got x={point[0]}, y={point[1]}"):
         ProductivityDistribution(((1, 5), point) if point[0] == 2 else (point,))
+
+
+@pytest.mark.parametrize("row", [5, (1,), (1, 2, 3), None])
+def test_distribution_rows_must_be_pairs(row):
+    with pytest.raises(DataError, match=re.escape(f"an (x, y) pair, got {row!r}")):
+        ProductivityDistribution(((1, 5), row) if row == (1, 2, 3) else (row,))
 
 
 def test_distribution_columns_are_built_once_and_read_only():

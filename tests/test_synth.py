@@ -229,6 +229,17 @@ def test_exact_distribution_validation():
         exact_distribution(2.0, 0, 10)
 
 
+@pytest.mark.parametrize("n, author_count, x_max", [
+    (2.0, 2 * 10**19, 2), (2.0, 10**20, 10), (2.0, 10**400, 10), (1000.0, 2**63 - 1, 10),
+], ids=["level-1-dropped", "x3-blamed", "float-overflow", "count-rounds-to-2^63"])
+def test_exact_distribution_counts_past_64_bits(n, author_count, x_max):
+    # the int64 cast once turned level 1 of the first case into a dropped "zero" row
+    with pytest.raises(DataError, match=f"author_count {author_count} is too large"):
+        exact_distribution(n, author_count, x_max)
+    assert exact_distribution(2.0, 2**62, 2).points == ((1, 3689348814741910528),
+                                                        (2, 922337203685477376))
+
+
 # ---------------------------------------------------------------------------
 # calibration against the fitted pipeline
 
