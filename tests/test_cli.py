@@ -490,12 +490,12 @@ def test_ks_report_runs_once_per_invocation(capsys, monkeypatch, command):
 def test_cli_keeps_no_reference_to_the_input_bytes(capsys, monkeypatch):
     # read_input frees the bytes after decoding only if the CLI holds no other reference
     refs = []
+    original = cli.read_input
 
     def spy(data, kind):
         refs.append(sys.getrefcount(data))  # this frame's name and getrefcount's argument
-        return cli_read_input(data, kind)
+        return original(data, kind)
 
-    cli_read_input = cli.read_input
     monkeypatch.setattr(cli, "read_input", spy)
     code, _, _ = run(capsys, "ingest", "--input", SAMPLE)
     assert code == 0
