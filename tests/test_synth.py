@@ -1,5 +1,7 @@
 """Synthetic draws: determinism, law fidelity, estimator calibration."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from scipy.stats import chisquare
 from lotkalaw import (
     DataError,
     NumericError,
+    PublicationRecord,
     SynthSpec,
+    authorship_pattern,
     compute_constant,
     exact_distribution,
     fit_exponent_lsq,
@@ -81,6 +85,24 @@ def test_synth_integers_must_be_integers(value):
         exact_distribution(2.0, 1000.7, 10)
     with pytest.raises(DataError, match=r"x_max must be an integer, got 3\.5"):
         truncated_probabilities(2.0, 3.5)
+
+
+_ONE_RECORD = [PublicationRecord("p1", 2000, ("a",))]
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: SynthSpec(2.0, 0, 10, 1), "author_count must be >= 1, got 0"),
+    (lambda: SynthSpec(2.0, -3, 10, 1), "author_count must be >= 1, got -3"),
+    (lambda: truncated_probabilities(2.0, 1), "x_max must be >= 2, got 1"),
+    (lambda: SynthSpec(2.0, 10, 0, 1), "x_max must be >= 2, got 0"),
+    (lambda: exact_distribution(2.0, 0, 10), "author_count must be >= 1, got 0"),
+    (lambda: compute_constant(2.0, 0), "sum limit must be >= 1, got 0"),
+    (lambda: compute_constant(2.0, np.int64(-1)), "sum limit must be >= 1, got -1"),
+    (lambda: authorship_pattern(_ONE_RECORD, period_length=0), "period_length must be >= 1, got 0"),
+])
+def test_integer_below_its_minimum_names_the_bound(call, text):
+    with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
+        call()
 
 
 def test_synth_accepts_numpy_integers():
