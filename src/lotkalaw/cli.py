@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from math import log10
 from pathlib import Path
 
@@ -264,11 +265,7 @@ def cmd_fit(args: argparse.Namespace) -> str:
         f"n,{fit.n!r},{fit.n:.2f}",
         f"c,{fit.c!r},{fit.c:.4f}",
         f"intercept,{fit.intercept!r},{fit.intercept:.2f}",
-        f"sum_x,{fit.sums.sum_x!r},",
-        f"sum_y,{fit.sums.sum_y!r},",
-        f"sum_xy,{fit.sums.sum_xy!r},",
-        f"sum_x2,{fit.sums.sum_x2!r},",
-        f"point_count,{fit.sums.point_count},",
+        *(f"{name},{value!r}," for name, value in asdict(fit.sums).items()),
     ]
     return "".join(line + "\n" for line in lines)
 

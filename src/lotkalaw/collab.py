@@ -108,9 +108,7 @@ def authorship_pattern(
     corpus = Corpus.from_records(records)
     if not corpus:
         raise DataError("empty corpus: no records to bucket")
-    _require_int("period_length", period_length)
-    if period_length < 1:
-        raise DataError(f"period_length must be >= 1, got {period_length}")
+    _require_int("period_length", period_length, 1)
     if origin_year is not None:
         _require_int("origin_year", origin_year)
         if origin_year < 1:

@@ -254,6 +254,13 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
+def _content_lines(text: str):
+    """``(line number from 1, stripped line)`` for each line of ``text`` that is not blank."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.strip():
+            yield lineno, line
+
+
 def _parse_pipe_line(line: str) -> tuple:
     parts = line.split("|")
     if len(parts) != 3:
@@ -347,10 +354,7 @@ def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
     parse_line = _parse_pipe_line if fmt == "pipe" else _parse_jsonl_line
     seen: dict[str, int] = {}  # id -> line, in record order: the ids column
     years, offsets, names = array("q"), array("q", [0]), []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         try:
             rid, year, authors = parse_line(line)
             names += _check_record(rid, year, authors)
@@ -454,15 +458,9 @@ def load_distribution(data: bytes | str) -> ProductivityDistribution:
     """Parse a ``x,y`` distribution file. Rows may arrive unsorted."""
     rows: list[tuple[int, int]] = []
     seen_x: dict[int, int] = {}
-    first_content = True
-    for lineno, raw in enumerate(_decode(data).splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    for i, (lineno, line) in enumerate(_content_lines(_decode(data))):
+        if i == 0 and _is_header(line):
             continue
-        if first_content:
-            first_content = False
-            if _is_header(line):
-                continue
         parts = line.split(",")
         if len(parts) != 2:
             raise DataError(f"line {lineno}: expected 'x,y', got {line!r}")

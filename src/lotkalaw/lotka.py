@@ -113,9 +113,7 @@ def _zeta_euler_maclaurin(n: float) -> float:
 
 
 def _partial_power_sum(n: float, limit: int) -> float:
-    _require_int("sum limit", limit)
-    if limit < 1:
-        raise DataError(f"sum limit must be >= 1, got {limit}")
+    _require_int("sum limit", limit, 1)
     total = 0.0
     chunk = 1_000_000
     for start in range(1, limit + 1, chunk):

@@ -34,18 +34,14 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         _validate_law(self.n, self.x_max)
-        _require_int("author_count", self.author_count)
-        if self.author_count < 1:
-            raise DataError(f"author_count must be >= 1, got {self.author_count}")
+        _require_int("author_count", self.author_count, 1)
         _require_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise DataError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 def _validate_law(n: float, x_max: int) -> None:
-    _require_int("x_max", x_max)
-    if x_max < 2:
-        raise DataError(f"x_max must be >= 2, got {x_max}")
+    _require_int("x_max", x_max, 2)
     if not n > 1.0:  # NaN fails too
         raise DataError(f"exponent must exceed 1, got {n}")
 
@@ -100,9 +96,7 @@ def exact_distribution(n: float, author_count: int, x_max: int) -> ProductivityD
     corpus is too small to represent the law and NumericError is raised;
     an expected count that reaches 2^63 raises DataError.
     """
-    _require_int("author_count", author_count)
-    if author_count < 1:
-        raise DataError(f"author_count must be >= 1, got {author_count}")
+    _require_int("author_count", author_count, 1)
     p = truncated_probabilities(n, x_max)
     # the first test keeps a huge int out of the float product, which would overflow
     if author_count >= 2**63 or (expected := np.rint(author_count * p)).max() >= 2**63:
