@@ -201,7 +201,12 @@ class ProductivityDistribution:
 
     def __post_init__(self) -> None:
         pts, prev, authors, contributions = [], 0, 0, 0
-        for row in self.points:
+        try:
+            rows = iter(self.points)
+        except TypeError:
+            raise DataError(f"distribution points must be an iterable of (x, y) pairs, "
+                            f"got {self.points!r}") from None
+        for row in rows:
             try:
                 gx, gy = row
             except (TypeError, ValueError):  # not iterable, or not two items

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from math import inf, sqrt
+from numbers import Real
 
 import numpy as np
 
 from .corpus import ProductivityDistribution
-from .errors import DataError
+from .errors import DataError, _require_int
 from .lotka import expected_proportion
 
 __all__ = [
@@ -112,10 +113,11 @@ def ks_report(
 
 def critical_value(total_authors: int, coefficient: float) -> float:
     """Conformity threshold: coefficient / sqrt(total_authors)."""
+    if isinstance(coefficient, (bool, np.bool_)) or not isinstance(coefficient, Real):
+        raise DataError(f"coefficient must be a real number, got {coefficient!r}")
     if not 0 < coefficient < inf:  # NaN fails too
         raise DataError(f"coefficient must be finite and positive, got {coefficient}")
-    if total_authors < 1:
-        raise DataError(f"total_authors must be >= 1, got {total_authors}")
+    _require_int("total_authors", total_authors, 1)
     return coefficient / sqrt(total_authors)
 
 

@@ -147,11 +147,14 @@ def fit_power_law(
     """Fit the exponent and attach the constant ``compute_constant(n, limit)``.
 
     ``constant_digits`` rounds the exponent before the constant is
-    computed (None skips the rounding). The default of 2 mirrors the
-    table-lookup workflow of the published analyses this package
-    reproduces: the constant is read off at the two-decimal exponent
-    while expected proportions keep the full-precision slope.
+    computed (None skips the rounding); else it must be an integer >= 0.
+    The default of 2 mirrors the table-lookup workflow of the published
+    analyses this package reproduces: the constant is read off at the
+    two-decimal exponent while expected proportions keep the
+    full-precision slope.
     """
+    if constant_digits is not None:
+        _require_int("constant_digits", constant_digits, 0)
     fit = fit_exponent_lsq(dist, max_x=max_x)
     n_for_c = round(fit.n, constant_digits) if constant_digits is not None else fit.n
     return replace(fit, c=compute_constant(n_for_c, limit))

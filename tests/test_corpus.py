@@ -744,6 +744,17 @@ def test_distribution_rows_must_be_pairs(row):
         ProductivityDistribution(((1, 5), row) if row == (1, 2, 3) else (row,))
 
 
+@pytest.mark.parametrize("points", [5, None, 2.5])
+def test_distribution_points_must_be_iterable(points):
+    with pytest.raises(DataError, match=re.escape(f"an iterable of (x, y) pairs, got {points!r}")):
+        ProductivityDistribution(points)
+
+
+def test_distribution_takes_a_generator_of_pairs():
+    dist = ProductivityDistribution(row for row in ((1, 3), (2, 1)))
+    assert dist.points == ((1, 3), (2, 1)) and dist.total_authors == 4
+
+
 def test_distribution_columns_are_built_once_and_read_only():
     dist = ProductivityDistribution(((1, 3), (4, 2)))
     assert dist.xs is dist.xs and dist.ys is dist.ys

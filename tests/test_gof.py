@@ -1,5 +1,7 @@
 """Conformity statistics, critical values and the comparison report."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,20 @@ def test_critical_value_errors():
             critical_value(100, coefficient)
     with pytest.raises(DataError, match="total_authors"):
         critical_value(0, 1.36)
+    # a bool or a value that is not a real number once passed as a number or a bare TypeError
+    for coefficient in (True, False, np.True_, "2.54", None, 1 + 0j):
+        text = f"coefficient must be a real number, got {coefficient!r}"
+        with pytest.raises(DataError, match=re.escape(text)):
+            critical_value(6, coefficient)
+    with pytest.raises(DataError, match="coefficient must be a real number, got True"):
+        run_ks(ProductivityDistribution(((1, 5), (2, 1))), 2.0, 0.6, True)
+    for total in (2.5, True, 6.0, "6"):
+        text = f"total_authors must be an integer, got {total!r}"
+        with pytest.raises(DataError, match=re.escape(text)):
+            critical_value(total, 1.36)
+    with pytest.raises(DataError, match="^total_authors must be >= 1, got 0$"):
+        critical_value(0, 1.36)
+    assert critical_value(np.int64(6), np.float64(1.36)) == 1.36 / 6**0.5
 
 
 def test_presets():

@@ -1,6 +1,7 @@
 """Exponent estimation and normalizing-constant evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,23 @@ def test_fit_power_law_full_precision_constant(cad_distribution):
 def test_fit_power_law_other_digit_choices(cad_distribution):
     fit = fit_power_law(cad_distribution, constant_digits=1)
     assert fit.c == compute_constant(2.5)
+
+
+@pytest.mark.parametrize("digits, text", [
+    (True, "constant_digits must be an integer, got True"),
+    (2.5, "constant_digits must be an integer, got 2.5"),
+    ("2", "constant_digits must be an integer, got '2'"),
+    (-1, "constant_digits must be >= 0, got -1"),
+])
+def test_fit_power_law_constant_digits_must_be_a_count(cad_distribution, digits, text):
+    # True rounded to one decimal, 2.5 and "2" raised a bare TypeError,
+    # and -1 blamed the exponent for a divergent series
+    with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
+        fit_power_law(cad_distribution, constant_digits=digits)
+
+
+def test_fit_power_law_takes_numpy_integer_digits(cad_distribution):
+    assert fit_power_law(cad_distribution, constant_digits=np.int64(2)) == fit_power_law(cad_distribution)
 
 
 # ---------------------------------------------------------------------------
