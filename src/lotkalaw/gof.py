@@ -113,7 +113,7 @@ def ks_report(
 
 def critical_value(total_authors: int, coefficient: float) -> float:
     """Conformity threshold: coefficient / sqrt(total_authors)."""
-    if isinstance(coefficient, (bool, np.bool_)) or not isinstance(coefficient, Real):
+    if isinstance(coefficient, bool) or not isinstance(coefficient, Real):
         raise DataError(f"coefficient must be a real number, got {coefficient!r}")
     if not 0 < coefficient < inf:  # NaN fails too
         raise DataError(f"coefficient must be finite and positive, got {coefficient}")
