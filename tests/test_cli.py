@@ -523,6 +523,78 @@ def test_explicit_input_kind_overrides_sniffing(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the flag surface: usage lines, and the whole text of each usage error
+
+_INPUT_USAGE = "[-h] --input INPUT [--input-kind {auto,pipe,jsonl,distribution}] [--format {csv,json}]"
+_FIT_USAGE = "[--c-method C_METHOD] [--c-digits C_DIGITS] [--truncate-x TRUNCATE_X]"
+_KS_USAGE = (
+    "[--coefficient COEFFICIENT] [--preset {alpha01,alpha05,alpha10,paper}] "
+    "[--ks-variant {standard,pointwise,both}] [--dense-expected]"
+)
+_PATTERN_USAGE = "[--period PERIOD] [--origin ORIGIN]"
+_COUNTING_USAGE = "[--counting {complete,straight}]"
+
+USAGE_LINES = {
+    "": "usage: lotkalaw [-h] {ingest,fit,ks,pattern,report} ...",
+    "ingest": f"usage: lotkalaw ingest {_INPUT_USAGE} {_COUNTING_USAGE}",
+    "fit": f"usage: lotkalaw fit {_INPUT_USAGE} {_FIT_USAGE} {_COUNTING_USAGE}",
+    "ks": f"usage: lotkalaw ks {_INPUT_USAGE} {_FIT_USAGE} {_KS_USAGE} {_COUNTING_USAGE}",
+    "pattern": f"usage: lotkalaw pattern {_INPUT_USAGE} {_PATTERN_USAGE}",
+    "report": f"usage: lotkalaw report {_INPUT_USAGE} {_FIT_USAGE} {_KS_USAGE} {_PATTERN_USAGE}"
+    f" [--plot-out PLOT_OUT] {_COUNTING_USAGE}",
+}
+
+
+@pytest.mark.parametrize("command", sorted(USAGE_LINES))
+def test_help_usage_line(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "1000")  # argparse wraps usage to the terminal width
+    with pytest.raises(SystemExit) as exited:
+        main([*command.split(), "--help"])
+    assert exited.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.split("\n\n", 1)[0] == USAGE_LINES[command]
+    assert err == ""
+
+
+USAGE_ERRORS = [
+    (["fit", "--c-method", "magic"], "bad --c-method 'magic'; expected 'zeta' or 'sum:<terms>'"),
+    (["ks", "--preset", "paper", "--c-method", "magic"],
+     "bad --c-method 'magic'; expected 'zeta' or 'sum:<terms>'"),
+    (["report", "--preset", "paper", "--c-method", "sum:x"],
+     "bad --c-method 'sum:x'; expected 'zeta' or 'sum:<terms>'"),
+    (["fit", "--c-method", "sum:0"], "--c-method sum:<terms> needs at least one term"),
+    (["fit", "--c-digits", "x"], "bad --c-digits 'x'; expected an integer or 'full'"),
+    (["fit", "--c-digits", "-1"], "--c-digits must be >= 0"),
+    (["ks", "--c-digits", "-1", "--preset", "paper"], "--c-digits must be >= 0"),
+    (["ks", "--coefficient", "1.36", "--preset", "paper"],
+     "pass either --coefficient or --preset, not both"),
+    (["report", "--coefficient", "1.36", "--preset", "paper"],
+     "pass either --coefficient or --preset, not both"),
+    (["ks"], "ks requires --coefficient or --preset"),
+    (["report"], "report requires --coefficient or --preset"),
+    (["report", "--preset", "paper", "--format", "csv"],
+     "report emits a json document; use --plot-out for csv plot data"),
+    (["pattern", "--period", "0"], "--period must be >= 1"),
+    (["report", "--preset", "paper", "--period", "0"], "--period must be >= 1"),
+    (["pattern", "--counting", "straight"], "unrecognized arguments: --counting straight"),
+    (["ingest", "--plot-out", "plot.csv"], "unrecognized arguments: --plot-out plot.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_text(capsys, argv, message):
+    command, *flags = argv
+    source = SAMPLE if command == "pattern" else CAD
+    assert run(capsys, command, "--input", source, *flags) == (1, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["ingest", "fit", "ks", "pattern", "report"])
+def test_missing_input_flag_text(capsys, command):
+    expected = "usage error: the following arguments are required: --input\n"
+    assert run(capsys, command) == (1, "", expected)
+
+
+# ---------------------------------------------------------------------------
 # golden output: byte-identical stdout and plot files on the bundled inputs
 
 
