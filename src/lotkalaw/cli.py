@@ -57,7 +57,7 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
         "--format",
         dest="output_format",
         choices=["csv", "json"],
-        default=None,
+        default="csv",
         help="output format (default csv; report always emits json)",
     )
 
@@ -65,11 +65,15 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
 def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--c-method",
+        dest="c_limit",
+        metavar="C_METHOD",
+        type=_parse_c_method,
         default="zeta",
         help="constant evaluation: 'zeta' or 'sum:<terms>' (default zeta)",
     )
     sub.add_argument(
         "--c-digits",
+        type=_parse_c_digits,
         default="2",
         help="round the exponent to this many decimals before the constant "
         "lookup; 'full' disables the rounding (default 2)",
@@ -116,40 +120,28 @@ def _add_pattern_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_plot_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--plot-out", default=None, help="also write plot-ready CSV here")
+    sub.set_defaults(output_format="json")
+
+
+def _add_counting_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--counting",
+        choices=[m.value for m in CountingMethod],
+        default=CountingMethod.COMPLETE.value,
+        help="credit every listed author (complete) or only the first (straight)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lotkalaw", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("ingest", help="parse records and emit the counted distribution")
-    _add_input_flags(sub)
-
-    sub = subs.add_parser("fit", help="fit the inverse power law")
-    _add_input_flags(sub)
-    _add_fit_flags(sub)
-
-    sub = subs.add_parser("ks", help="fit, then test conformity")
-    _add_input_flags(sub)
-    _add_fit_flags(sub)
-    _add_ks_flags(sub)
-
-    sub = subs.add_parser("pattern", help="authorship pattern table and collaboration metrics")
-    _add_input_flags(sub)
-    _add_pattern_flags(sub)
-
-    sub = subs.add_parser("report", help="combined JSON report with plot-ready data")
-    _add_input_flags(sub)
-    _add_fit_flags(sub)
-    _add_ks_flags(sub)
-    _add_pattern_flags(sub)
-    sub.add_argument("--plot-out", default=None, help="also write plot-ready CSV here")
-
-    for name in ("ingest", "fit", "ks", "report"):  # the commands that count records
-        subs.choices[name].add_argument(
-            "--counting",
-            choices=[m.value for m in CountingMethod],
-            default=CountingMethod.COMPLETE.value,
-            help="credit every listed author (complete) or only the first (straight)",
-        )
+    for name, (help_text, run, flag_groups) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(run=run)
+        for add_flags in (_add_input_flags, *flag_groups):
+            add_flags(sub)
     return parser
 
 
@@ -179,13 +171,8 @@ def _parse_c_digits(text: str) -> int | None:
 
 def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
     """Validate flag combinations once and resolve defaults in place."""
-    if args.output_format is None:
-        args.output_format = "json" if args.command == "report" else "csv"
-    elif args.command == "report" and args.output_format != "json":
+    if args.command == "report" and args.output_format != "json":
         raise UsageError("report emits a json document; use --plot-out for csv plot data")
-    if hasattr(args, "c_method"):
-        args.c_limit = _parse_c_method(args.c_method)
-        args.c_digits = _parse_c_digits(args.c_digits)
     if hasattr(args, "coefficient"):
         if args.coefficient is not None and args.preset is not None:
             raise UsageError("pass either --coefficient or --preset, not both")
@@ -325,12 +312,18 @@ def cmd_report(args: argparse.Namespace) -> str:
     return _json_doc(doc)
 
 
+# name -> (help, function, flag groups added after the input flags, in help order)
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "fit": cmd_fit,
-    "ks": cmd_ks,
-    "pattern": cmd_pattern,
-    "report": cmd_report,
+    "ingest": ("parse records and emit the counted distribution", cmd_ingest,
+               (_add_counting_flag,)),
+    "fit": ("fit the inverse power law", cmd_fit, (_add_fit_flags, _add_counting_flag)),
+    "ks": ("fit, then test conformity", cmd_ks,
+           (_add_fit_flags, _add_ks_flags, _add_counting_flag)),
+    "pattern": ("authorship pattern table and collaboration metrics", cmd_pattern,
+                (_add_pattern_flags,)),
+    "report": ("combined JSON report with plot-ready data", cmd_report,
+               (_add_fit_flags, _add_ks_flags, _add_pattern_flags, _add_plot_flag,
+                _add_counting_flag)),
 }
 
 
@@ -338,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        output = _COMMANDS[args.command](_resolve_args(args))
+        output = args.run(_resolve_args(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
