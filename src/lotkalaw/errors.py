@@ -17,7 +17,8 @@ class NumericError(LotkaLawError):
 
 def _require_int(name: str, value: object, minimum: int | None = None) -> None:
     """Raise DataError unless ``value`` is an int or numpy integer, not a bool, >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    # a plain int passes the type test at once; per-level callers rely on that speed
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise DataError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise DataError(f"{name} must be >= {minimum}, got {value}")

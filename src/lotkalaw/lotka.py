@@ -83,6 +83,7 @@ def fit_exponent_lsq(
     """
     xs, ys = dist.xs, dist.ys
     if max_x is not None:
+        _require_int("max_x", max_x)
         keep = xs <= max_x
         xs, ys = xs[keep], ys[keep]
     if len(xs) < 2:
@@ -166,6 +167,5 @@ def expected_proportion(n: float, c: float, x: int) -> float:
         raise DataError(f"exponent must be finite, got {n}")
     if not 0.0 < c <= 1.0:
         raise DataError(f"constant must lie in (0, 1], got {c}")
-    if x < 1:
-        raise DataError(f"x must be >= 1, got {x}")
+    _require_int("x", x, 1)
     return c * float(x) ** -n

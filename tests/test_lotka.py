@@ -1,6 +1,7 @@
 """Exponent estimation and normalizing-constant evaluation."""
 
 import math
+import numbers
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from lotkalaw import (
     fit_exponent_lsq,
     fit_power_law,
 )
+from lotkalaw.errors import _require_int
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +133,28 @@ def test_fit_rejects_a_slope_that_is_not_negative(points):
         fit_exponent_lsq(ProductivityDistribution(points))
     with pytest.raises(NumericError, match="not negative"):
         fit_power_law(ProductivityDistribution(points))
+
+
+@pytest.mark.parametrize("max_x, text", [
+    ("10", "max_x must be an integer, got '10'"),
+    (True, "max_x must be an integer, got True"),
+    (10.5, "max_x must be an integer, got 10.5"),
+])
+def test_fit_truncation_cap_must_be_an_integer(cad_distribution, max_x, text):
+    # "10" raised a bare numpy UFuncTypeError, True capped the fit at x = 1,
+    # and 10.5 silently fitted ten levels
+    with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
+        fit_exponent_lsq(cad_distribution, max_x=max_x)
+    with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
+        fit_power_law(cad_distribution, max_x=max_x)
+
+
+def test_fit_truncation_cap_takes_numpy_integers_and_has_no_minimum(cad_distribution):
+    assert fit_power_law(cad_distribution, max_x=np.int64(10)) == fit_power_law(
+        cad_distribution, max_x=10
+    )
+    with pytest.raises(NumericError, match="degenerate regression"):
+        fit_power_law(cad_distribution, max_x=0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +301,41 @@ def test_expected_proportion_domain_errors():
     for n in (math.nan, math.inf, -math.inf):
         with pytest.raises(DataError, match=f"exponent must be finite, got {n}"):
             expected_proportion(n, 0.6, 2)
+
+
+@pytest.mark.parametrize("x, text", [
+    (1.5, "x must be an integer, got 1.5"),
+    (True, "x must be an integer, got True"),
+    ("3", "x must be an integer, got '3'"),
+    (None, "x must be an integer, got None"),
+    (0, "x must be >= 1, got 0"),
+])
+def test_expected_proportion_level_must_be_a_positive_integer(x, text):
+    # 1.5 and True gave a proportion; "3" and None raised a bare TypeError
+    with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
+        expected_proportion(2.0, 0.5, x)
+
+
+def test_expected_proportion_takes_numpy_integer_levels():
+    assert expected_proportion(2.0, 0.5, np.int64(2)) == expected_proportion(2.0, 0.5, 2) == 0.125
+
+
+class _IntSubclass(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    0, 1, 7, -3, 2**70, np.int64(5), np.uint8(0), _IntSubclass(4), _IntSubclass(0),
+    True, False, np.bool_(True), 1.0, math.nan, "1", None,
+])
+def test_require_int_fast_path_keeps_the_integral_rule(value):
+    # the plain-int shortcut must accept and refuse exactly what the full check does
+    allowed = not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+    if allowed:
+        _require_int("v", value, 1)
+    else:
+        with pytest.raises(DataError, match="^v must be "):
+            _require_int("v", value, 1)
 
 
 def test_expected_distribution_values():
