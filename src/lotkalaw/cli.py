@@ -22,9 +22,9 @@ from .corpus import (
     Corpus,
     CountingMethod,
     ProductivityDistribution,
+    _read_file,
     count_productivity,
     dump_distribution,
-    read_input,
 )
 from .errors import DataError, NumericError
 from .gof import COEFFICIENT_PRESETS, render_report_csv, run_ks
@@ -189,8 +189,8 @@ def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
 # input handling
 
 def _load_input(args: argparse.Namespace) -> Corpus | ProductivityDistribution:
-    try:  # no local for the bytes: read_input can free them once they are decoded
-        return read_input(Path(args.input).read_bytes(), args.input_kind)
+    try:
+        return _read_file(args.input, args.input_kind)
     except OSError as exc:
         raise DataError(f"cannot read {args.input}: {exc.strerror}") from None
 
@@ -224,6 +224,11 @@ def _ks_for(args: argparse.Namespace, dist: ProductivityDistribution):
         k: v for k, v in result.to_dict().items() if dropped is None or not k.endswith(dropped)
     }
     return fit, result, doc
+
+
+def _ks_rows(result) -> list[dict]:
+    """One plain dict per K-S level, keyed by the column names."""
+    return [dict(zip(result.rows.dtype.names, row)) for row in result.rows.tolist()]
 
 
 def _json_doc(doc: dict) -> str:
@@ -261,8 +266,7 @@ def cmd_ks(args: argparse.Namespace) -> str:
     dist, _ = _distribution_for(args)
     fit, result, doc = _ks_for(args, dist)
     if args.output_format == "json":
-        rows = [dict(zip(result.rows.dtype.names, row)) for row in result.rows.tolist()]
-        return _json_doc({"fit": fit.to_dict(), "result": doc, "rows": rows})
+        return _json_doc({"fit": fit.to_dict(), "result": doc, "rows": _ks_rows(result)})
     summary = [("n", fit.n), ("c", fit.c), ("intercept", fit.intercept)]
     summary += doc.items()
     return render_report_csv(result.rows) + "\nmetric,value\n" + _metric_lines(summary)
@@ -283,7 +287,7 @@ def cmd_pattern(args: argparse.Namespace) -> str:
 def cmd_report(args: argparse.Namespace) -> str:
     dist, records = _distribution_for(args)
     fit, result, ks_doc = _ks_for(args, dist)
-    ks_rows = [dict(zip(result.rows.dtype.names, row)) for row in result.rows.tolist()]
+    ks_rows = _ks_rows(result)
     plot_rows = [
         [log10(row["x"]), log10(row["y"]), log10(row["expected_proportion"] * result.total_authors)]
         for row in ks_rows
@@ -332,6 +336,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         output = args.run(_resolve_args(args))
+    except SystemExit as exc:  # argparse exits with 0 once it has printed --help
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -17,12 +17,14 @@ Two record formats are supported:
     output reproduces the original records exactly.
 
 :func:`parse_records` returns the records as the columns of a
-:class:`Corpus`. Pipe text is checked one chunk of columns at a time
-(about 2^20 characters of whole lines), with no Python call per line;
-the per-line check runs only to name a fault. Every record, parsed or
-built by hand, cleans its names: :func:`normalize_author` collapses
-runs of whitespace and empty name slots are dropped, so the same names
-count as one author either way.
+:class:`Corpus`. Text is parsed in chunks of whole lines (about 2^18
+characters each), and the command line reads a file the same way, so
+neither its bytes nor its text are held whole. Pipe chunks are checked
+a column at a time, with no Python call per line; the per-line check
+runs only to name a fault. Every record, parsed or built by hand,
+cleans its names: :func:`normalize_author` collapses runs of whitespace
+and empty name slots are dropped, so the same names count as one author
+either way.
 
 Distribution files are comma-separated ``x,y`` rows with an optional
 ``x,y`` header line: ``x`` is a productivity level (papers per author),
@@ -32,16 +34,17 @@ are omitted, never written as rows.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from array import array
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring as _json_string
-from typing import Iterable
+from pathlib import Path
 
 import numpy as np
 
@@ -249,6 +252,12 @@ class ProductivityDistribution:
 # ---------------------------------------------------------------------------
 # record parsing
 
+_BLOCK_BYTES = 1 << 20  # a record file is read this many bytes at a time
+_CHUNK_CHARS = 1 << 18  # text is parsed about this many characters at a time
+# where splitlines() ends a line; a CR LF is one match, so no chunk ends between the two
+_LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
 def _decode(data: bytes | str) -> str:
     """Text of a UTF-8 input; a leading byte order mark is dropped."""
     if isinstance(data, (bytes, bytearray)):
@@ -259,9 +268,39 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
-def _content_lines(text: str):
-    """``(line number from 1, stripped line)`` for each line of ``text`` that is not blank."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _line_chunks(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of ``pieces`` again, in chunks that each end at a line boundary.
+
+    A chunk runs to the first line end at or after ``_CHUNK_CHARS``
+    characters, so ``splitlines()`` over the chunks gives the lines of
+    the whole text. A line end that closes the text read so far waits
+    for the next piece, which may hold the LF of a CR LF. Only that
+    last character of the text held before is searched again, so a
+    line longer than many pieces costs no search per piece over it.
+    """
+    text, start = "", 0
+    for piece in pieces:
+        searched = len(text) - start - 1
+        text, start = text[start:] + piece, 0
+        while (cut := _LINE_END.search(text, max(start + _CHUNK_CHARS, searched))) \
+                and cut.end() < len(text):
+            yield text[start : cut.end()]
+            start = cut.end()
+    if start < len(text):
+        yield text[start:]
+
+
+def _file_texts(file) -> Iterator[str]:
+    """Text of an open binary UTF-8 file, ``_BLOCK_BYTES`` at a time; a leading BOM is dropped."""
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    while block := file.read(_BLOCK_BYTES):
+        yield decoder.decode(block)
+    yield decoder.decode(b"", final=True)
+
+
+def _content_lines(chunks: Iterable[str]):
+    """``(line number from 1, stripped line)`` for each line of the chunks that is not blank."""
+    for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, chunks)), start=1):
         if line := raw.strip():
             yield lineno, line
 
@@ -293,28 +332,18 @@ def _parse_jsonl_line(line: str) -> tuple:
     return obj["id"], obj["year"], authors
 
 
-_CHUNK_CHARS = 1 << 20  # pipe text is checked about this many characters at a time
-_LINE_END = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")  # where splitlines() cuts
-
-
-def _pipe_columns(text: str) -> Corpus | None:
+def _pipe_columns(chunks: Iterable[str]) -> Corpus | None:
     """Columns of valid pipe text, or None at the first chunk with a faulty line.
 
     Each chunk of whole lines is split and checked a column at a time,
-    with no Python call per line. A chunk ends just after a character
-    where ``splitlines()`` ends a line, so every line is whole (a CR LF
-    cut after its CR only adds a blank line). None leaves the naming of
-    the first fault to the per-line loop.
+    with no Python call per line. None leaves the naming of the first
+    fault to the per-line loop.
     """
     ids: list[str] = []
     seen: set[str] = set()
     years, sizes, names = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
-    start = 0
-    while start < len(text):
-        cut = _LINE_END.search(text, start + _CHUNK_CHARS)
-        end = cut.end() if cut else len(text)
-        lines = list(filter(None, map(str.strip, text[start:end].splitlines())))
-        start = end
+    for chunk in chunks:
+        lines = list(filter(None, map(str.strip, chunk.splitlines())))
         if not lines:
             continue
         if set(map(str.count, lines, repeat("|"))) != {2}:
@@ -343,23 +372,12 @@ def _pipe_columns(text: str) -> Corpus | None:
     return Corpus._of_checked(ids, np.concatenate(years), offsets, names)
 
 
-def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
-    """Parse a record file into a :class:`Corpus`; empty input yields an empty one.
-
-    Pipe text is checked one chunk of columns at a time; the per-line
-    check below runs over it only to name a fault, and is the JSONL
-    parser. Malformed rows raise :class:`DataError` naming the first
-    offending line; a duplicated id names both lines involved.
-    """
-    if fmt not in ("pipe", "jsonl"):
-        raise DataError(f"unknown record format {fmt!r} (expected 'pipe' or 'jsonl')")
-    text = _decode(data)
-    if fmt == "pipe" and (columns := _pipe_columns(text)) is not None:
-        return columns
+def _parse_lines(chunks: Iterable[str], fmt: str) -> Corpus:
+    """Records of the chunks, one line at a time: the JSONL parser, and the namer of a pipe fault."""
     parse_line = _parse_pipe_line if fmt == "pipe" else _parse_jsonl_line
     seen: dict[str, int] = {}  # id -> line, in record order: the ids column
     years, offsets, names = array("q"), array("q", [0]), []
-    for lineno, line in _content_lines(text):
+    for lineno, line in _content_lines(chunks):
         try:
             rid, year, authors = parse_line(line)
             names += _check_record(rid, year, authors)
@@ -371,6 +389,47 @@ def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
         years.append(year)
         offsets.append(len(names))
     return Corpus._of_checked(list(seen), years, offsets, names)
+
+
+def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
+    """Parse a record file into a :class:`Corpus`; empty input yields an empty one.
+
+    Pipe text is checked one chunk of columns at a time, and read again
+    line by line only to name a fault; JSON lines are read line by
+    line. Malformed rows raise :class:`DataError` naming the first
+    offending line; a duplicated id names both lines involved.
+    """
+    if fmt not in ("pipe", "jsonl"):
+        raise DataError(f"unknown record format {fmt!r} (expected 'pipe' or 'jsonl')")
+    text = _decode(data)
+    if fmt == "pipe" and (columns := _pipe_columns(_line_chunks((text,)))) is not None:
+        return columns
+    return _parse_lines(_line_chunks((text,)), fmt)
+
+
+def _sniff(chunks: Iterator[str]) -> tuple[str, Iterator[str]]:
+    """The kind of input that the first line that is not blank starts, and every chunk.
+
+    The chunks are read only up to that line.
+    """
+    read = []
+    for chunk in chunks:
+        read.append(chunk)
+        # up to the next newline, then to any line boundary: no full split
+        if first := re.search(r"\S[^\n]*", chunk):
+            break
+    else:
+        raise DataError("input file is empty; pass --input-kind if this is intended")
+    line = first.group().splitlines()[0].strip()
+    if line.startswith("{"):
+        kind = "jsonl"
+    elif "|" in line:
+        kind = "pipe"
+    elif _is_header(line) or re.fullmatch(r"\d+,\d+", line.replace(" ", "")):
+        kind = "distribution"
+    else:
+        raise DataError(f"cannot tell what kind of input {line[:40]!r} starts; pass --input-kind")
+    return kind, chain(read, chunks)
 
 
 def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDistribution:
@@ -387,24 +446,32 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     text = _decode(data)
     del data  # a caller that passed the only reference frees the bytes before the parse
     if kind == "auto":
-        # up to the next newline, then to any line boundary: no full split
-        first = re.search(r"\S[^\n]*", text)
-        if first is None:
-            raise DataError("input file is empty; pass --input-kind if this is intended")
-        line = first.group().splitlines()[0].strip()
-        if line.startswith("{"):
-            kind = "jsonl"
-        elif "|" in line:
-            kind = "pipe"
-        elif _is_header(line) or re.fullmatch(r"\d+,\d+", line.replace(" ", "")):
-            kind = "distribution"
-        else:
-            raise DataError(
-                f"cannot tell what kind of input {line[:40]!r} starts; pass --input-kind"
-            )
+        kind, _ = _sniff(_line_chunks((text,)))
     if kind == "distribution":
         return load_distribution(text)
     return parse_records(text, kind)
+
+
+def _read_file(path, kind: str) -> Corpus | ProductivityDistribution:
+    """``read_input`` of a file's bytes, read and parsed a chunk of whole lines at a time.
+
+    Neither the bytes nor the text are held whole. On any fault, of the
+    data or of its UTF-8, the whole file goes through :func:`read_input`
+    instead, which names the first fault, its line and its byte position.
+    """
+    try:
+        with open(path, "rb") as file:
+            chunks = _line_chunks(_file_texts(file))
+            found, chunks = _sniff(chunks) if kind == "auto" else (kind, chunks)
+            if found == "distribution":
+                return _table_of(chunks)
+            if found == "jsonl":
+                return _parse_lines(chunks, found)
+            if found == "pipe" and (columns := _pipe_columns(chunks)) is not None:
+                return columns
+    except (DataError, UnicodeDecodeError):
+        pass
+    return read_input(Path(path).read_bytes(), kind)
 
 
 def dump_records(records: Iterable[PublicationRecord]) -> str:
@@ -461,9 +528,14 @@ def _is_header(line: str) -> bool:
 
 def load_distribution(data: bytes | str) -> ProductivityDistribution:
     """Parse a ``x,y`` distribution file. Rows may arrive unsorted."""
+    return _table_of(_line_chunks((_decode(data),)))
+
+
+def _table_of(chunks: Iterable[str]) -> ProductivityDistribution:
+    """The distribution table of the chunks' lines."""
     rows: list[tuple[int, int]] = []
     seen_x: dict[int, int] = {}
-    for i, (lineno, line) in enumerate(_content_lines(_decode(data))):
+    for i, (lineno, line) in enumerate(_content_lines(chunks)):
         if i == 0 and _is_header(line):
             continue
         parts = line.split(",")

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from lotkalaw import dump_distribution, dump_records, exact_distribution, parse_records
-from lotkalaw import cli, gof
+from lotkalaw import (PublicationRecord, dump_distribution, dump_records, exact_distribution,
+                      parse_records, read_input)
+from lotkalaw import cli, corpus, gof
 from lotkalaw.cli import main
 
 from conftest import DATA_DIR, build_mixed_records, build_pattern_records
@@ -486,20 +488,64 @@ def test_ks_report_runs_once_per_invocation(capsys, monkeypatch, command):
     assert len(calls) == 1
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 keeps call arguments on the caller's stack")
-def test_cli_keeps_no_reference_to_the_input_bytes(capsys, monkeypatch):
-    # read_input frees the bytes after decoding only if the CLI holds no other reference
-    refs = []
-    original = cli.read_input
+def test_cli_streams_a_record_file_it_never_holds_whole(capsys, monkeypatch, tmp_path):
+    """The CLI reads a record file a chunk of whole lines at a time, never its whole text.
 
-    def spy(data, kind):
-        refs.append(sys.getrefcount(data))  # this frame's name and getrefcount's argument
-        return original(data, kind)
+    The blocks shrink to 2^14 so that a chunk is a small part of the
+    20,000-record file, as 2^20 is of a real bibliography.
+    """
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 14)
+    records = [PublicationRecord(f"P{i}", 1990 + i % 30, (f"Author {i % 97}", f"\u0141uk {i % 13}"))
+               for i in range(20_000)]
+    path = tmp_path / "records.jsonl"
+    path.write_text(dump_records(records), encoding="utf-8")
+    text_size = sys.getsizeof(path.read_text(encoding="utf-8"))
+    peaks = []
+    for load in (lambda: main(["ingest", "--input", str(path)]),
+                 lambda: read_input(path.read_bytes(), "jsonl")):
+        tracemalloc.start()
+        try:  # no call inside an assert: pytest's rewrite would keep its result alive
+            loaded = load()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del loaded
+    assert capsys.readouterr().out.startswith("x,y\n")
+    assert peaks[1] - peaks[0] >= 0.8 * text_size, (peaks, text_size)
 
-    monkeypatch.setattr(cli, "read_input", spy)
-    code, _, _ = run(capsys, "ingest", "--input", SAMPLE)
-    assert code == 0
-    assert refs == [2]
+
+def _record_lines(fmt: str, count: int) -> list[str]:
+    if fmt == "pipe":
+        return [f"P{i}|2000|Author {i}; \u0141uk {i % 7}\r\n" for i in range(count)]
+    return [json.dumps({"id": f"P{i}", "year": 2000, "authors": [f"Author {i}", f"\u0141uk {i % 7}"]},
+                       ensure_ascii=False) + "\r\n" for i in range(count)]
+
+
+def test_a_bad_byte_is_named_before_an_earlier_data_fault(capsys, monkeypatch, tmp_path):
+    """A whole-file read decodes first, so its UTF-8 fault is the one named, at its file position."""
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
+    lines = [line.encode("utf-8") for line in _record_lines("pipe", 200)]
+    lines[0] = b"P0|19x9|Author 0\n"
+    lines[150] = b"P150|2000|Au\xffthor\n"
+    path = tmp_path / "records.psv"
+    path.write_bytes(b"".join(lines))
+    assert run(capsys, "ingest", "--input", str(path)) == (2, "", (
+        "data error: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 4283: invalid start byte\n"))
+
+
+@pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
+def test_a_duplicate_id_in_a_later_chunk_names_both_lines(capsys, monkeypatch, tmp_path, fmt):
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
+    lines = _record_lines(fmt, 200)
+    lines[179] = lines[2].replace("2000", "2001")
+    path = tmp_path / "records.txt"
+    path.write_bytes("".join(lines).encode("utf-8"))
+    assert run(capsys, "ingest", "--input", str(path)) == (
+        2, "", "data error: line 180: duplicate record id 'P2' (first seen on line 3)\n")
 
 
 def test_bad_c_method_exits_1(capsys):
@@ -548,9 +594,7 @@ USAGE_LINES = {
 @pytest.mark.parametrize("command", sorted(USAGE_LINES))
 def test_help_usage_line(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "1000")  # argparse wraps usage to the terminal width
-    with pytest.raises(SystemExit) as exited:
-        main([*command.split(), "--help"])
-    assert exited.value.code == 0
+    assert main([*command.split(), "--help"]) == 0
     out, err = capsys.readouterr()
     assert out.split("\n\n", 1)[0] == USAGE_LINES[command]
     assert err == ""

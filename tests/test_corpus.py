@@ -432,9 +432,13 @@ def test_a_pipe_fault_ends_the_column_pass_in_its_chunk(monkeypatch, faulty, mes
     assert len(parse_records("\n".join(lines))) == 1000 and len(searches) > 50
     searches.clear()
     lines[1] = faulty
+    parse_line = corpus._parse_pipe_line
+    before_lines = []  # searches made when the per-line loop parses its first line
+    monkeypatch.setattr(corpus, "_parse_pipe_line", lambda line: (
+        before_lines.append(len(searches)), parse_line(line))[1])
     with pytest.raises(DataError, match=f"^line 2: {re.escape(message)}$"):
         parse_records("\n".join(lines))
-    assert len(searches) == 1
+    assert before_lines[0] == 2  # the column pass's one chunk, then the per-line loop's first
 
 
 def test_pipe_chunks_end_at_every_line_end(monkeypatch):
@@ -566,6 +570,76 @@ def test_parse_property_matches_hand_built_records(rows, fmt):
                        for rid, year, _, names in rows)
         expected = [PublicationRecord(rid, year, names) for rid, year, _, names in rows]
     assert parse_records(text, fmt) == expected
+
+
+# ---------------------------------------------------------------------------
+# record files read in chunks
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(st.text(st.sampled_from(["\r", "\n", "\x85", " ", " ", "a"]), max_size=6),
+                max_size=6), st.integers(1, 8))
+def test_line_chunks_keep_every_line_of_the_text(pieces, chunk_chars):
+    """No chunk ends inside a line or between the CR and LF of one line end."""
+    with mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars):
+        chunks = list(corpus._line_chunks(pieces))
+    text = "".join(pieces)
+    assert "".join(chunks) == text and "" not in chunks
+    assert [line for chunk in chunks for line in chunk.splitlines()] == text.splitlines()
+
+
+@st.composite
+def _jsonl_texts(draw):
+    """JSON lines of records, with mixed line ends and blank lines, with at most one fault."""
+    lines = dump_records(draw(_RECORDS)).splitlines()
+    fault = draw(st.sampled_from([None, "json", "year", "duplicate"]))
+    if fault and lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        if fault == "json":
+            lines[i] = lines[i][:-1]
+        elif fault == "year":
+            lines[i] = lines[i].replace('"year":', '"year":-')
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    text = ""
+    for line in lines:
+        text += line + draw(_END)
+        if draw(st.booleans()):
+            text += draw(_PAD) + draw(_END)  # a blank line
+    return text
+
+
+def _load_outcome(load):
+    """The columns a load returns, or the text of the DataError it raises."""
+    try:
+        loaded = load()
+    except DataError as exc:
+        return str(exc)
+    return loaded.ids, loaded.years.tolist(), loaded.offsets.tolist(), loaded.names
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.one_of(st.tuples(st.just("pipe"), _pipe_texts()),
+                 st.tuples(st.just("jsonl"), _jsonl_texts())),
+       st.booleans(), st.booleans(), st.none() | st.integers(0, 10**4),
+       st.integers(1, 7), st.integers(1, 40))
+def test_a_file_read_in_chunks_parses_as_its_whole_text(tmp_path_factory, case, bom, sniff,
+                                                        bad_byte, block_bytes, chunk_chars):
+    """Blocks of a few bytes cut CR LF pairs and multi-byte characters in two."""
+    fmt, text = case
+    data = b"\xef\xbb\xbf" * bom + text.encode("utf-8")
+    if bad_byte is not None:
+        bad_byte %= len(data) + 1
+        data = data[:bad_byte] + b"\xff" + data[bad_byte:]
+    kind = "auto" if sniff else fmt
+    expected = _load_outcome(lambda: read_input(data, kind))
+    path = tmp_path_factory.getbasetemp() / "records_in_chunks"
+    path.write_bytes(data)
+    with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars), \
+            mock.patch.object(corpus, "read_input", wraps=corpus.read_input) as whole_file:
+        assert _load_outcome(lambda: corpus._read_file(path, kind)) == expected
+    # only a fault sends the file through the whole-file read, which names it
+    assert whole_file.called == isinstance(expected, str)
 
 
 # ---------------------------------------------------------------------------
