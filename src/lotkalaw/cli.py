@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import asdict
 from math import log10
 from pathlib import Path
@@ -22,6 +23,8 @@ from .corpus import (
     Corpus,
     CountingMethod,
     ProductivityDistribution,
+    _credited,
+    _distribution_of,
     _read_file,
     count_productivity,
     dump_distribution,
@@ -31,6 +34,8 @@ from .gof import COEFFICIENT_PRESETS, render_report_csv, run_ks
 from .lotka import fit_power_law
 
 __all__ = ["main", "build_parser", "UsageError"]
+
+_TALLY_NAMES = 1 << 17  # credited names held between tallies: one tally a chunk ran 10% slower
 
 
 class UsageError(Exception):
@@ -188,19 +193,28 @@ def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 # input handling
 
-def _load_input(args: argparse.Namespace) -> Corpus | ProductivityDistribution:
+def _load_input(args: argparse.Namespace, credit) -> Corpus | ProductivityDistribution:
     try:
-        return _read_file(args.input, args.input_kind)
+        return _read_file(args.input, args.input_kind, credit)
     except OSError as exc:
         raise DataError(f"cannot read {args.input}: {exc.strerror}") from None
 
 
 def _distribution_for(args: argparse.Namespace) -> tuple[ProductivityDistribution, Corpus | None]:
-    """The table to fit, and the records it was counted from (None for a table)."""
-    loaded = _load_input(args)
+    """The table to fit, counted as the file is read, and its records (None for a table)."""
+    method, tally, held = CountingMethod(args.counting), Counter(), []
+    def credit(slots, starts):
+        held.extend(_credited(slots, starts, method))
+        if len(held) >= _TALLY_NAMES:
+            tally.update(held)
+            held.clear()
+    loaded = _load_input(args, credit)
     if isinstance(loaded, ProductivityDistribution):
         return loaded, None
-    return count_productivity(loaded, args.counting), loaded
+    if hasattr(loaded, "names"):  # read whole to name a fault, and valid after all
+        return count_productivity(loaded, method), loaded
+    tally.update(held)
+    return _distribution_of(tally, method), loaded
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +287,7 @@ def cmd_ks(args: argparse.Namespace) -> str:
 
 
 def cmd_pattern(args: argparse.Namespace) -> str:
-    records = _load_input(args)
+    records = _load_input(args, lambda slots, starts: None)  # no names are needed
     if isinstance(records, ProductivityDistribution):
         raise DataError("pattern requires records input, not a distribution table")
     table = authorship_pattern(records, period_length=args.period, origin_year=args.origin)

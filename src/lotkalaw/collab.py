@@ -150,7 +150,7 @@ def collab_metrics(records: Iterable[PublicationRecord]) -> CollabMetrics:
         single_count=single,
         multi_count=multi,
         degree_of_collaboration=multi / len(corpus),
-        collaborative_index=len(corpus.names) / len(corpus),
+        collaborative_index=int(corpus.offsets[-1]) / len(corpus),
     )
 
 

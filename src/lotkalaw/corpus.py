@@ -18,13 +18,13 @@ Two record formats are supported:
 
 :func:`parse_records` returns the records as the columns of a
 :class:`Corpus`. Text is parsed in chunks of whole lines (about 2^18
-characters each), and the command line reads a file the same way, so
-neither its bytes nor its text are held whole. Pipe chunks are checked
-a column at a time, with no Python call per line; the per-line check
-runs only to name a fault. Every record, parsed or built by hand,
-cleans its names: :func:`normalize_author` collapses runs of whitespace
-and empty name slots are dropped, so the same names count as one author
-either way.
+characters each), and the command line reads a file the same way and
+counts the names as it reads, so it holds neither the whole bytes or
+text nor the name list. Pipe chunks are checked a column at a time, with
+no Python call per line; the per-line check runs only to name a fault.
+Every record, parsed or built by hand, cleans its names:
+:func:`normalize_author` collapses runs of whitespace and empty name
+slots are dropped, so the same names count as one author either way.
 
 Distribution files are comma-separated ``x,y`` rows with an optional
 ``x,y`` header line: ``x`` is a productivity level (papers per author),
@@ -143,16 +143,18 @@ class Corpus(Sequence):
                           list(chain.from_iterable(rec.authors for rec in records)))
 
     @classmethod
-    def _of_checked(cls, ids: list[str], years, offsets, names: list[str]) -> "Corpus":
+    def _of_checked(cls, ids: list[str], years, offsets, names: list[str] | None) -> "Corpus":
         """A Corpus of columns whose records were checked as they were read."""
         corpus = cls.__new__(cls)
         corpus._set_columns(ids, years, offsets, names)
         return corpus
 
-    def _set_columns(self, ids: list[str], years, offsets, names: list[str]) -> None:
+    def _set_columns(self, ids: list[str], years, offsets, names: list[str] | None) -> None:
         years, offsets = np.array(years, np.int64), np.array(offsets, np.int64)
         years.flags.writeable = offsets.flags.writeable = False
-        self.ids, self.years, self.offsets, self.names = ids, years, offsets, names
+        self.ids, self.years, self.offsets = ids, years, offsets
+        if names is not None:  # None: the names were counted as they were read, then dropped
+            self.names = names
 
     @classmethod
     def from_records(cls, records: Iterable[PublicationRecord]) -> "Corpus":
@@ -274,20 +276,25 @@ def _line_chunks(pieces: Iterable[str]) -> Iterator[str]:
     A chunk runs to the first line end at or after ``_CHUNK_CHARS``
     characters, so ``splitlines()`` over the chunks gives the lines of
     the whole text. A line end that closes the text read so far waits
-    for the next piece, which may hold the LF of a CR LF. Only that
-    last character of the text held before is searched again, so a
-    line longer than many pieces costs no search per piece over it.
+    for the next piece, which may hold the LF of a CR LF. Each piece is
+    searched once, with the held character before it, and held pieces
+    are joined once a chunk ends in them: a long line costs linear time.
     """
-    text, start = "", 0
-    for piece in pieces:
-        searched = len(text) - start - 1
-        text, start = text[start:] + piece, 0
-        while (cut := _LINE_END.search(text, max(start + _CHUNK_CHARS, searched))) \
-                and cut.end() < len(text):
-            yield text[start : cut.end()]
-            start = cut.end()
-    if start < len(text):
-        yield text[start:]
+    held, size = [], 0  # the pieces read since the last chunk ended, and their length
+    for piece in filter(None, pieces):
+        probe = held[-1][-1:] + piece if held else piece
+        searched, size = size + len(piece) - len(probe), size + len(piece)  # probe starts there
+        held.append(piece)
+        cut = _LINE_END.search(probe, max(_CHUNK_CHARS - searched, 0))
+        if (end := searched + cut.end() if cut else size) < size:
+            text, start = "".join(held), 0
+            while end < size:
+                yield text[start:end]
+                cut = _LINE_END.search(text, end + _CHUNK_CHARS)
+                start, end = end, cut.end() if cut else size
+            held, size = [text[start:]], size - start
+    if held:
+        yield "".join(held)
 
 
 def _file_texts(file) -> Iterator[str]:
@@ -332,7 +339,7 @@ def _parse_jsonl_line(line: str) -> tuple:
     return obj["id"], obj["year"], authors
 
 
-def _pipe_columns(chunks: Iterable[str]) -> Corpus | None:
+def _pipe_columns(chunks: Iterable[str], credit=None) -> Corpus | None:
     """Columns of valid pipe text, or None at the first chunk with a faulty line.
 
     Each chunk of whole lines is split and checked a column at a time,
@@ -367,28 +374,40 @@ def _pipe_columns(chunks: Iterable[str]) -> Corpus | None:
             return None
         years.append(chunk_years)
         sizes.append(counts)
-        names += slots
+        if credit is None:
+            names += slots
+        else:
+            credit(slots, np.cumsum(counts) - counts)
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    return Corpus._of_checked(ids, np.concatenate(years), offsets, names)
+    return Corpus._of_checked(ids, np.concatenate(years), offsets, None if credit else names)
 
 
-def _parse_lines(chunks: Iterable[str], fmt: str) -> Corpus:
+def _parse_lines(chunks: Iterable[str], fmt: str, credit=None) -> Corpus:
     """Records of the chunks, one line at a time: the JSONL parser, and the namer of a pipe fault."""
     parse_line = _parse_pipe_line if fmt == "pipe" else _parse_jsonl_line
     seen: dict[str, int] = {}  # id -> line, in record order: the ids column
     years, offsets, names = array("q"), array("q", [0]), []
-    for lineno, line in _content_lines(chunks):
-        try:
-            rid, year, authors = parse_line(line)
-            names += _check_record(rid, year, authors)
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        first = seen.setdefault(rid, lineno)
-        if first != lineno:
-            raise DataError(f"line {lineno}: duplicate record id {rid!r} (first seen on line {first})")
-        years.append(year)
-        offsets.append(len(names))
-    return Corpus._of_checked(list(seen), years, offsets, names)
+    lineno = dropped = 0  # the last line read, and the names handed to credit
+    for chunk in chunks:
+        chunk_start = len(years)
+        for lineno, raw in enumerate(chunk.splitlines(), lineno + 1):
+            if not (line := raw.strip()):
+                continue
+            try:
+                rid, year, authors = parse_line(line)
+                names += _check_record(rid, year, authors)
+            except DataError as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
+            first = seen.setdefault(rid, lineno)
+            if first != lineno:
+                raise DataError(f"line {lineno}: duplicate record id {rid!r} "
+                                f"(first seen on line {first})")
+            years.append(year)
+            offsets.append(dropped + len(names))
+        if credit is not None:
+            credit(names, np.array(offsets[chunk_start:-1]) - dropped)
+            dropped, names = dropped + len(names), []
+    return Corpus._of_checked(list(seen), years, offsets, None if credit else names)
 
 
 def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
@@ -452,12 +471,14 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     return parse_records(text, kind)
 
 
-def _read_file(path, kind: str) -> Corpus | ProductivityDistribution:
+def _read_file(path, kind: str, credit=None) -> Corpus | ProductivityDistribution:
     """``read_input`` of a file's bytes, read and parsed a chunk of whole lines at a time.
 
     Neither the bytes nor the text are held whole. On any fault, of the
     data or of its UTF-8, the whole file goes through :func:`read_input`
     instead, which names the first fault, its line and its byte position.
+    Given ``credit``, each chunk's cleaned names and its record starts go
+    to ``credit(slots, starts)`` and are dropped: a whole-file read alone keeps ``names``.
     """
     try:
         with open(path, "rb") as file:
@@ -466,8 +487,8 @@ def _read_file(path, kind: str) -> Corpus | ProductivityDistribution:
             if found == "distribution":
                 return _table_of(chunks)
             if found == "jsonl":
-                return _parse_lines(chunks, found)
-            if found == "pipe" and (columns := _pipe_columns(chunks)) is not None:
+                return _parse_lines(chunks, found, credit)
+            if found == "pipe" and (columns := _pipe_columns(chunks, credit)) is not None:
                 return columns
     except (DataError, UnicodeDecodeError):
         pass
@@ -506,15 +527,20 @@ def count_productivity(
     """
     if method not in ("complete", "straight"):
         raise DataError(f"unknown counting method {method!r} (expected 'complete' or 'straight')")
-    method = CountingMethod(method)
-    corpus = Corpus.from_records(records)
-    if not corpus:
+    method, corpus = CountingMethod(method), Corpus.from_records(records)
+    return _distribution_of(Counter(_credited(corpus.names, corpus.offsets[:-1], method)), method)
+
+
+def _credited(names: list[str], starts: np.ndarray, method: CountingMethod) -> Iterable[str]:
+    """The names that ``method`` credits, of records that start at ``starts`` in ``names``."""
+    return map(names.__getitem__, starts.tolist()) if method is CountingMethod.STRAIGHT else names
+
+
+def _distribution_of(tally: Counter, method: CountingMethod) -> ProductivityDistribution:
+    """The frequency table of the credits per author in ``tally``."""
+    if not tally:  # every record credits a name
         raise DataError("empty corpus: no records to count")
-    credited = corpus.names
-    if method is CountingMethod.STRAIGHT:
-        credited = map(credited.__getitem__, corpus.offsets[:-1].tolist())
-    freq = Counter(Counter(credited).values())
-    points = tuple(sorted(freq.items()))
+    points = tuple(sorted(Counter(tally.values()).items()))
     return ProductivityDistribution(points, provenance=f"counted:{method.value}")
 
 

@@ -1,15 +1,22 @@
 """Command line behavior: formats, flags, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
+from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lotkalaw import (PublicationRecord, dump_distribution, dump_records, exact_distribution,
-                      parse_records, read_input)
+from lotkalaw import (PublicationRecord, authorship_pattern, collab_metrics, count_productivity,
+                      dump_distribution, dump_records, exact_distribution, parse_records,
+                      read_input)
 from lotkalaw import cli, corpus, gof
 from lotkalaw.cli import main
 
@@ -488,6 +495,20 @@ def test_ks_report_runs_once_per_invocation(capsys, monkeypatch, command):
     assert len(calls) == 1
 
 
+def _peaks(*loads) -> list[int]:
+    """The traced peak of each load, each measured on its own."""
+    peaks = []
+    for load in loads:
+        tracemalloc.start()
+        try:  # no call inside an assert: pytest's rewrite would keep its result alive
+            loaded = load()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del loaded
+    return peaks
+
+
 def test_cli_streams_a_record_file_it_never_holds_whole(capsys, monkeypatch, tmp_path):
     """The CLI reads a record file a chunk of whole lines at a time, never its whole text.
 
@@ -501,18 +522,36 @@ def test_cli_streams_a_record_file_it_never_holds_whole(capsys, monkeypatch, tmp
     path = tmp_path / "records.jsonl"
     path.write_text(dump_records(records), encoding="utf-8")
     text_size = sys.getsizeof(path.read_text(encoding="utf-8"))
-    peaks = []
-    for load in (lambda: main(["ingest", "--input", str(path)]),
-                 lambda: read_input(path.read_bytes(), "jsonl")):
-        tracemalloc.start()
-        try:  # no call inside an assert: pytest's rewrite would keep its result alive
-            loaded = load()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        del loaded
+    peaks = _peaks(lambda: main(["ingest", "--input", str(path)]),
+                   lambda: read_input(path.read_bytes(), "jsonl"))
     assert capsys.readouterr().out.startswith("x,y\n")
     assert peaks[1] - peaks[0] >= 0.8 * text_size, (peaks, text_size)
+
+
+@pytest.mark.parametrize("command", ["ingest", "pattern"])
+def test_cli_counts_a_record_file_without_its_name_list(capsys, monkeypatch, tmp_path, command):
+    """The CLI tallies names as it reads the file, where the streamed read would keep them all.
+
+    The sizes shrink as in the test above, and the CLI tallies 2^12 names
+    at a time, a small part of the 40,000. Set against a whole-text
+    parse, the saving would hold at any names.
+    """
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 14)
+    monkeypatch.setattr(cli, "_TALLY_NAMES", 1 << 12)
+    records = [PublicationRecord(f"P{i}", 1990 + i % 30, (f"Author {i % 97}", f"\u0141uk {i % 13}"))
+               for i in range(20_000)]
+    path = tmp_path / "records.jsonl"
+    path.write_text(dump_records(records), encoding="utf-8")
+    names_size = sys.getsizeof(parse_records(path.read_bytes(), "jsonl").names)
+    with_names = {
+        "ingest": lambda: count_productivity(corpus._read_file(path, "jsonl")),
+        "pattern": lambda: (lambda loaded: (authorship_pattern(loaded), collab_metrics(loaded)))(
+            corpus._read_file(path, "jsonl")),
+    }
+    peaks = _peaks(lambda: main([command, "--input", str(path)]), with_names[command])
+    assert capsys.readouterr().out.startswith("x,y\n" if command == "ingest" else "authors,")
+    assert peaks[1] - peaks[0] >= 0.8 * names_size, (peaks, names_size)
 
 
 def _record_lines(fmt: str, count: int) -> list[str]:
@@ -546,6 +585,92 @@ def test_a_duplicate_id_in_a_later_chunk_names_both_lines(capsys, monkeypatch, t
     path.write_bytes("".join(lines).encode("utf-8"))
     assert run(capsys, "ingest", "--input", str(path)) == (
         2, "", "data error: line 180: duplicate record id 'P2' (first seen on line 3)\n")
+
+
+def test_a_valid_file_read_whole_after_a_tally_is_counted_whole(capsys, monkeypatch, tmp_path):
+    """A whole-file read that returns is counted itself, never the tally of the chunks before it."""
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
+    path = tmp_path / "records.psv"
+    path.write_bytes("".join(_record_lines("pipe", 200)).encode("utf-8"))
+    commands = [("ingest",), ("report", "--preset", "paper")]
+    expected = [run(capsys, command, "--input", str(path), *flags) for command, *flags in commands]
+    columns = corpus._pipe_columns
+
+    def tally_one_chunk(chunks, credit=None):
+        columns(islice(chunks, 1), credit)
+        return None
+
+    monkeypatch.setattr(corpus, "_pipe_columns", tally_one_chunk)
+    assert [run(capsys, command, "--input", str(path), *flags)
+            for command, *flags in commands] == expected
+    assert expected[0][0] == 0 and expected[0][1].startswith("x,y\n1,200\n")
+
+
+@pytest.mark.parametrize("command", [("ingest",), ("report", "--preset", "paper"), ("pattern",)])
+@pytest.mark.parametrize("fmt, fault, message", [
+    ("pipe", "P199|19x9|Author 199\r\n", "line 200: year '19x9' is not an integer"),
+    ("pipe", "P7|2000|Author 199\r\n", "line 200: duplicate record id 'P7' (first seen on line 8)"),
+    ("jsonl", '{"id":"P199","year":2000}\r\n', "line 200: missing keys ['authors']"),
+    ("jsonl", '{"id":"P199","year":2000,"authors":[" "]}\r\n', "line 200: record 'P199' has no authors"),
+])
+def test_a_fault_in_the_last_of_many_chunks_is_named(capsys, monkeypatch, tmp_path, command,
+                                                      fmt, fault, message):
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
+    lines = _record_lines(fmt, 200)
+    lines[-1] = fault
+    path = tmp_path / "records.txt"
+    path.write_bytes("".join(lines).encode("utf-8"))
+    assert run(capsys, command[0], "--input", str(path), *command[1:]) == (
+        2, "", f"data error: {message}\n")
+
+
+@pytest.mark.parametrize("kind", ["pipe", "jsonl"])
+def test_a_blank_record_file_has_no_records_to_count(capsys, tmp_path, kind):
+    path = tmp_path / "blank.txt"
+    path.write_text(" \n\r\n\t\n", encoding="utf-8")
+    assert run(capsys, "ingest", "--input", str(path), "--input-kind", kind) == (
+        2, "", "data error: empty corpus: no records to count\n")
+
+
+_CLI_NAMES = st.sampled_from(["Smith J", " Smith  J ", "Smith\tJ", "Smith\u3000J", "", " ",
+                              "\u0141uk \u017b", "\u0141uk\u00a0 \u017b", "\u674e \u56db", "A"])
+
+
+@st.composite
+def _record_files(draw):
+    """A record file's bytes and format: padded and empty name slots, repeats, BOM and CR LF."""
+    fmt = draw(st.sampled_from(["pipe", "jsonl"]))
+    rows = draw(st.lists(st.lists(_CLI_NAMES, min_size=1, max_size=5).filter(
+        lambda names: any(map(str.strip, names))), min_size=1, max_size=10))
+    if fmt == "pipe":
+        lines = [f"P{i}|{1990 + i}|{';'.join(names)}" for i, names in enumerate(rows)]
+    else:
+        lines = [json.dumps({"id": f"P{i}", "year": 1990 + i, "authors": names}, ensure_ascii=False)
+                 for i, names in enumerate(rows)]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + end for line in lines)
+    return fmt, text, b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode("utf-8")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_record_files(), st.sampled_from(["complete", "straight"]), st.booleans(),
+       st.integers(1, 7), st.integers(1, 40), st.integers(1, 6))
+def test_ingest_counts_a_file_as_the_library_counts_its_text(tmp_path_factory, case, method, sniff,
+                                                             block_bytes, chunk_chars, tally_names):
+    """Blocks of a few bytes cut CR LF pairs and multi-byte characters in two."""
+    fmt, text, data = case
+    path = tmp_path_factory.getbasetemp() / "records_to_count"
+    path.write_bytes(data)
+    out = io.StringIO()
+    with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars), \
+            mock.patch.object(cli, "_TALLY_NAMES", tally_names), redirect_stdout(out):
+        code = main(["ingest", "--input", str(path), "--input-kind", "auto" if sniff else fmt,
+                     "--counting", method, "--format", "json"])
+    assert code == 0
+    assert json.loads(out.getvalue()) == count_productivity(parse_records(text, fmt), method).to_dict()
 
 
 def test_bad_c_method_exits_1(capsys):

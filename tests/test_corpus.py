@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -585,6 +586,44 @@ def test_line_chunks_keep_every_line_of_the_text(pieces, chunk_chars):
     text = "".join(pieces)
     assert "".join(chunks) == text and "" not in chunks
     assert [line for chunk in chunks for line in chunk.splitlines()] == text.splitlines()
+
+
+def test_a_line_of_many_pieces_is_chunked_in_linear_time():
+    """Copying the held text for every piece took seconds here, as the square of the length."""
+    text = "x" * (1 << 23) + "\n"
+    pieces = [text[i : i + (1 << 10)] for i in range(0, len(text), 1 << 10)]
+    start = time.perf_counter()
+    chunks = list(corpus._line_chunks(pieces))
+    elapsed = time.perf_counter() - start
+    assert chunks == [text]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
+def test_records_counted_as_they_are_read_keep_no_names(monkeypatch, tmp_path, fmt):
+    """Each chunk's names go to the tally and no further; what the columns need stays."""
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
+    records = random_corpus(np.random.default_rng(17), max_authors=6)
+    text = dump_records(records) if fmt == "jsonl" else "".join(
+        f"{rec.id}|{rec.year}| ;{'; '.join(rec.authors)};\r\n" for rec in records)
+    path = tmp_path / "records.txt"
+    path.write_text(text, encoding="utf-8")
+    handed = []
+    loaded = corpus._read_file(path, fmt, lambda slots, starts: handed.append((slots, starts)))
+    whole = parse_records(text, fmt)
+    assert len(handed) > 10 and not hasattr(loaded, "names")
+    assert [name for slots, _ in handed for name in slots] == whole.names
+    assert np.concatenate([starts + done for (_, starts), done in zip(
+        handed, np.cumsum([0, *(len(slots) for slots, _ in handed)]))]).tolist() \
+        == whole.offsets[:-1].tolist()
+    assert (loaded.ids, loaded.years.tolist(), loaded.offsets.tolist()) \
+        == (whole.ids, whole.years.tolist(), whole.offsets.tolist())
+    assert authorship_pattern(loaded) == authorship_pattern(whole)
+    assert collab_metrics(loaded) == collab_metrics(whole)
+    for use in (count_productivity, dump_records, lambda records: records[0]):
+        with pytest.raises(AttributeError, match="names"):
+            use(loaded)
 
 
 @st.composite
