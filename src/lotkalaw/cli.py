@@ -26,7 +26,6 @@ from .corpus import (
     _credited,
     _distribution_of,
     _read_file,
-    count_productivity,
     dump_distribution,
 )
 from .errors import DataError, NumericError
@@ -211,8 +210,6 @@ def _distribution_for(args: argparse.Namespace) -> tuple[ProductivityDistributio
     loaded = _load_input(args, credit)
     if isinstance(loaded, ProductivityDistribution):
         return loaded, None
-    if hasattr(loaded, "names"):  # read whole to name a fault, and valid after all
-        return count_productivity(loaded, method), loaded
     tally.update(held)
     return _distribution_of(tally, method), loaded
 

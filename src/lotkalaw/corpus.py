@@ -20,8 +20,9 @@ Two record formats are supported:
 :class:`Corpus`. Text is parsed in chunks of whole lines (about 2^18
 characters each), and the command line reads a file the same way and
 counts the names as it reads, so it holds neither the whole bytes or
-text nor the name list. Pipe chunks are checked a column at a time, with
-no Python call per line; the per-line check runs only to name a fault.
+text nor the name list, and it names every fault in the stream. Pipe
+chunks are checked a column at a time, with no Python call per line; the
+per-line check runs only to name a fault, or over input that cannot seek.
 Every record, parsed or built by hand, cleans its names:
 :func:`normalize_author` collapses runs of whitespace and empty name
 slots are dropped, so the same names count as one author either way.
@@ -42,9 +43,9 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring as _json_string
-from pathlib import Path
 
 import numpy as np
 
@@ -260,16 +261,6 @@ _CHUNK_CHARS = 1 << 18  # text is parsed about this many characters at a time
 _LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
-def _decode(data: bytes | str) -> str:
-    """Text of a UTF-8 input; a leading byte order mark is dropped."""
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            return data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input is not valid UTF-8: {exc}") from None
-    return data
-
-
 def _line_chunks(pieces: Iterable[str]) -> Iterator[str]:
     """The text of ``pieces`` again, in chunks that each end at a line boundary.
 
@@ -298,11 +289,25 @@ def _line_chunks(pieces: Iterable[str]) -> Iterator[str]:
 
 
 def _file_texts(file) -> Iterator[str]:
-    """Text of an open binary UTF-8 file, ``_BLOCK_BYTES`` at a time; a leading BOM is dropped."""
-    decoder = codecs.getincrementaldecoder("utf-8-sig")()
-    while block := file.read(_BLOCK_BYTES):
-        yield decoder.decode(block)
-    yield decoder.decode(b"", final=True)
+    """Text of an open binary UTF-8 file, ``_BLOCK_BYTES`` at a time; a leading BOM is dropped.
+
+    A bad byte raises what :func:`read_input` raises for the whole file,
+    its position counted after the BOM. The BOM is stripped here, as a
+    ``utf-8-sig`` decoder takes a file of part of a BOM for empty.
+    """
+    decoder, done = codecs.getincrementaldecoder("utf-8")(), 0  # bytes decoded after the BOM
+    head = file.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
+    for block in chain([head], iter(partial(file.read, _BLOCK_BYTES), b""), [b""]):
+        try:
+            text = decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:  # exc.object: the bytes held back, then the block
+            start, size = done - len(decoder.getstate()[0]) + exc.start, exc.end - exc.start
+            where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if size == 1
+                     else f"bytes in position {start}-{start + size - 1}")
+            raise DataError(f"input is not valid UTF-8: 'utf-8' codec can't decode {where}: "
+                            f"{exc.reason}") from None
+        done += len(block)
+        yield text
 
 
 def _content_lines(chunks: Iterable[str]):
@@ -420,10 +425,7 @@ def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
     """
     if fmt not in ("pipe", "jsonl"):
         raise DataError(f"unknown record format {fmt!r} (expected 'pipe' or 'jsonl')")
-    text = _decode(data)
-    if fmt == "pipe" and (columns := _pipe_columns(_line_chunks((text,)))) is not None:
-        return columns
-    return _parse_lines(_line_chunks((text,)), fmt)
+    return read_input(data, fmt)
 
 
 def _sniff(chunks: Iterator[str]) -> tuple[str, Iterator[str]]:
@@ -462,37 +464,58 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     if kind not in ("auto", "pipe", "jsonl", "distribution"):
         raise DataError(f"unknown record format {kind!r} "
                         "(expected 'auto', 'pipe', 'jsonl' or 'distribution')")
-    text = _decode(data)
-    del data  # a caller that passed the only reference frees the bytes before the parse
-    if kind == "auto":
-        kind, _ = _sniff(_line_chunks((text,)))
-    if kind == "distribution":
-        return load_distribution(text)
-    return parse_records(text, kind)
+    if isinstance(data, (bytes, bytearray)):
+        try:  # drops the bytes before the parse, if the caller passed the only reference
+            data = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"input is not valid UTF-8: {exc}") from None
+    return _ingest(_line_chunks((data,)), kind, again=lambda: _line_chunks((data,)))
 
 
 def _read_file(path, kind: str, credit=None) -> Corpus | ProductivityDistribution:
-    """``read_input`` of a file's bytes, read and parsed a chunk of whole lines at a time.
+    """``read_input`` of a file, read and parsed a chunk of whole lines at a time.
 
-    Neither the bytes nor the text are held whole. On any fault, of the
-    data or of its UTF-8, the whole file goes through :func:`read_input`
-    instead, which names the first fault, its line and its byte position.
-    Given ``credit``, each chunk's cleaned names and its record starts go
-    to ``credit(slots, starts)`` and are dropped: a whole-file read alone keeps ``names``.
+    Neither the bytes nor the text are held whole. After a fault the
+    rest of the file is decoded, with no parse, so a later bad byte is
+    still the fault named. A file that cannot seek, such as a pipe, has
+    its pipe records read line by line. Given ``credit``, each chunk's
+    cleaned names and record starts go to ``credit(slots, starts)`` and
+    are dropped: the records keep no ``names``.
     """
-    try:
-        with open(path, "rb") as file:
-            chunks = _line_chunks(_file_texts(file))
-            found, chunks = _sniff(chunks) if kind == "auto" else (kind, chunks)
-            if found == "distribution":
-                return _table_of(chunks)
-            if found == "jsonl":
-                return _parse_lines(chunks, found, credit)
-            if found == "pipe" and (columns := _pipe_columns(chunks, credit)) is not None:
-                return columns
-    except (DataError, UnicodeDecodeError):
-        pass
-    return read_input(Path(path).read_bytes(), kind)
+    with open(path, "rb") as file:
+        texts = _file_texts(file)
+
+        def again() -> Iterator[str]:
+            nonlocal texts
+            file.seek(0)
+            texts = _file_texts(file)
+            return _line_chunks(texts)
+
+        try:
+            return _ingest(_line_chunks(texts), kind, credit, again if file.seekable() else None)
+        except DataError:
+            for _ in texts:
+                pass
+            raise
+
+
+def _ingest(chunks: Iterator[str], kind: str, credit=None, again=None):
+    """The records or table of the chunks, of a checked ``kind``; ``"auto"`` is sniffed.
+
+    Pipe chunks go through the column pass if ``again()`` gives them once
+    more from the start, for the per-line loop to name a fault the pass
+    meets; with no ``again`` the per-line loop reads them in one pass.
+    """
+    if kind == "auto":
+        kind, chunks = _sniff(chunks)
+    if kind == "distribution":
+        return _table_of(chunks)
+    if kind == "pipe" and again is not None:
+        if (columns := _pipe_columns(chunks, credit)) is not None:
+            return columns
+        _parse_lines(again(), kind, lambda slots, starts: None)  # credits nothing: holds no names
+        raise AssertionError("the column pass refused pipe text with no fault")
+    return _parse_lines(chunks, kind, credit)
 
 
 def dump_records(records: Iterable[PublicationRecord]) -> str:
@@ -554,7 +577,7 @@ def _is_header(line: str) -> bool:
 
 def load_distribution(data: bytes | str) -> ProductivityDistribution:
     """Parse a ``x,y`` distribution file. Rows may arrive unsorted."""
-    return _table_of(_line_chunks((_decode(data),)))
+    return read_input(data, "distribution")
 
 
 def _table_of(chunks: Iterable[str]) -> ProductivityDistribution:

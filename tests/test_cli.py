@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
@@ -587,14 +589,12 @@ def test_a_duplicate_id_in_a_later_chunk_names_both_lines(capsys, monkeypatch, t
         2, "", "data error: line 180: duplicate record id 'P2' (first seen on line 3)\n")
 
 
-def test_a_valid_file_read_whole_after_a_tally_is_counted_whole(capsys, monkeypatch, tmp_path):
-    """A whole-file read that returns is counted itself, never the tally of the chunks before it."""
+def test_a_column_pass_that_refuses_a_valid_file_fails_loudly(capsys, monkeypatch, tmp_path):
+    """Should the per-line loop find no fault to name, the tally of the chunks before is never printed."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     path = tmp_path / "records.psv"
     path.write_bytes("".join(_record_lines("pipe", 200)).encode("utf-8"))
-    commands = [("ingest",), ("report", "--preset", "paper")]
-    expected = [run(capsys, command, "--input", str(path), *flags) for command, *flags in commands]
     columns = corpus._pipe_columns
 
     def tally_one_chunk(chunks, credit=None):
@@ -602,9 +602,10 @@ def test_a_valid_file_read_whole_after_a_tally_is_counted_whole(capsys, monkeypa
         return None
 
     monkeypatch.setattr(corpus, "_pipe_columns", tally_one_chunk)
-    assert [run(capsys, command, "--input", str(path), *flags)
-            for command, *flags in commands] == expected
-    assert expected[0][0] == 0 and expected[0][1].startswith("x,y\n1,200\n")
+    for command, *flags in [("ingest",), ("report", "--preset", "paper")]:
+        with pytest.raises(AssertionError, match="refused pipe text with no fault"):
+            main([command, "--input", str(path), *flags])
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", [("ingest",), ("report", "--preset", "paper"), ("pattern",)])
@@ -624,6 +625,64 @@ def test_a_fault_in_the_last_of_many_chunks_is_named(capsys, monkeypatch, tmp_pa
     path.write_bytes("".join(lines).encode("utf-8"))
     assert run(capsys, command[0], "--input", str(path), *command[1:]) == (
         2, "", f"data error: {message}\n")
+
+
+@pytest.mark.parametrize("command, fault, message", [
+    (("ingest",), "P39999|19x9|Author 39999\r\n", "line 40000: year '19x9' is not an integer"),
+    (("report", "--preset", "paper", "--truncate-x", "10"), "P7|2000|Author 39999\r\n",
+     "line 40000: duplicate record id 'P7' (first seen on line 8)"),
+])
+def test_a_late_fault_peaks_no_higher_than_the_valid_file(capsys, monkeypatch, tmp_path, command,
+                                                           fault, message):
+    """Naming a fault on the last line reads the file again a chunk at a time, never whole.
+
+    Blocks, chunks and tally shrink as in the tests above. Each of the
+    two faults goes with one command: a run takes seconds under tracemalloc.
+    """
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 14)
+    monkeypatch.setattr(cli, "_TALLY_NAMES", 1 << 12)
+    lines = [f"P{i}|{1990 + i % 30}|Author {i}; \u0141uk {40_000 // (i + 1)}\r\n"
+             for i in range(40_000)]
+    valid, faulty = tmp_path / "valid.psv", tmp_path / "faulty.psv"
+    valid.write_text("".join(lines), encoding="utf-8")
+    faulty.write_text("".join(lines[:-1]) + fault, encoding="utf-8")
+    peaks = _peaks(lambda: main([command[0], "--input", str(valid), *command[1:]]),
+                   lambda: main([command[0], "--input", str(faulty), *command[1:]]))
+    out, err = capsys.readouterr()
+    assert out.startswith("x,y\n" if command[0] == "ingest" else "{")
+    assert err == f"data error: {message}\n"
+    assert peaks[1] <= peaks[0], peaks
+
+
+@pytest.mark.parametrize("case", ["late-bad-year", "duplicate-id", "jsonl-duplicate-id",
+                                  "data-fault-then-bad-byte", "valid"])
+def test_input_that_cannot_seek_reads_as_a_file(capsys, tmp_path, case):
+    """A pipe cannot be read twice: its faults are named in the one pass, as in a file.
+
+    The 2 MB inputs span two blocks and many chunks, and the bad byte
+    sits in the second block, after the data fault.
+    """
+    lines = [f"P{i}|2000|Author {i}; \u0141uk {i % 7}\n".encode("utf-8") for i in range(60_000)]
+    if case == "late-bad-year":
+        lines[-2] = b"P59998|19x9|Author\n"
+    elif case == "duplicate-id":
+        lines.append(b"P3|2001|Author\n")
+    elif case == "jsonl-duplicate-id":
+        lines = [line.encode("utf-8") for line in _record_lines("jsonl", 30_000)]
+        lines.append(lines[2])
+    elif case == "data-fault-then-bad-byte":
+        lines[1] = b"P1|19x9|Author\n"
+        lines.append(b"P60000|2000|Au\xffthor\n")
+    path = tmp_path / "records.txt"
+    path.write_bytes(b"".join(lines))
+    expected = run(capsys, "ingest", "--input", str(path))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    piped = subprocess.run([sys.executable, "-m", "lotkalaw", "ingest", "--input", "/dev/stdin"],
+                           input=b"".join(lines), capture_output=True, env=env, timeout=120)
+    assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) == expected
+    assert expected[0] == (0 if case == "valid" else 2)
 
 
 @pytest.mark.parametrize("kind", ["pipe", "jsonl"])

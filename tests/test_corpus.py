@@ -226,16 +226,6 @@ def test_read_input_rejects_empty_and_unknown_layouts():
         read_input("\n hello world \n1,2\n")
 
 
-def test_read_input_calls_the_module_parsers():
-    """Wrappers put on corpus.parse_records / load_distribution see every call."""
-    with mock.patch.object(corpus, "parse_records", return_value=["records"]) as parse:
-        assert read_input(b"P1|2005|A\n") == ["records"]
-    parse.assert_called_once_with("P1|2005|A\n", "pipe")
-    with mock.patch.object(corpus, "load_distribution", return_value="table") as load:
-        assert read_input("1,2\n") == "table"
-    load.assert_called_once_with("1,2\n")
-
-
 def _first_line_kind(text: str) -> str:
     """Reference sniffer: splits the whole text, then takes the first non-blank line."""
     for raw in text.splitlines():
@@ -261,15 +251,10 @@ _SNIFF_ALPHABET = st.sampled_from(
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(st.lists(_SNIFF_ALPHABET, max_size=14).map("".join))
 def test_read_input_sniffs_like_a_full_split(text):
-    def kind_seen(text, kind="distribution"):
-        return kind
-
-    with mock.patch.object(corpus, "parse_records", kind_seen), \
-            mock.patch.object(corpus, "load_distribution", kind_seen):
-        try:
-            kind = read_input(text)
-        except DataError as exc:
-            kind = "empty" if "empty" in str(exc) else "unknown"
+    try:
+        kind, _ = corpus._sniff(corpus._line_chunks((text,)))
+    except DataError as exc:
+        kind = "empty" if "empty" in str(exc) else "unknown"
     assert kind == _first_line_kind(text)
 
 
@@ -516,21 +501,12 @@ def _pipe_texts(draw):
     return text
 
 
-def _parse_outcome(text):
-    try:
-        records = parse_records(text, "pipe")
-    except DataError as exc:
-        return str(exc)
-    return records.ids, records.years.tolist(), records.offsets.tolist(), records.names
-
-
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(_pipe_texts(), st.integers(1, 40))
 def test_pipe_columns_match_the_per_line_loop(text, chunk_chars):
     with mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars):
-        columns = _parse_outcome(text)
-    with mock.patch.object(corpus, "_pipe_columns", lambda text: None):
-        assert columns == _parse_outcome(text)
+        columns = _load_outcome(lambda: parse_records(text, "pipe"))
+    assert columns == _load_outcome(lambda: corpus._parse_lines(corpus._line_chunks((text,)), "pipe"))
 
 
 def test_consumers_agree_on_a_corpus_and_its_records():
@@ -626,6 +602,19 @@ def test_records_counted_as_they_are_read_keep_no_names(monkeypatch, tmp_path, f
             use(loaded)
 
 
+def test_naming_a_pipe_fault_credits_no_name_twice(monkeypatch, tmp_path):
+    """The second pass that names the fault credits nothing: the tally is dropped anyway."""
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
+    path = tmp_path / "records.psv"
+    path.write_text("".join(f"P{i}|2000|Author {i}\n" for i in range(199)) + "P199|19x9|A\n",
+                    encoding="utf-8")
+    handed = []
+    with pytest.raises(DataError, match="^line 200: year '19x9' is not an integer$"):
+        corpus._read_file(path, "pipe", lambda slots, starts: handed.extend(slots))
+    assert 150 < len(handed) == len(set(handed))
+
+
 @st.composite
 def _jsonl_texts(draw):
     """JSON lines of records, with mixed line ends and blank lines, with at most one fault."""
@@ -677,8 +666,18 @@ def test_a_file_read_in_chunks_parses_as_its_whole_text(tmp_path_factory, case, 
             mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars), \
             mock.patch.object(corpus, "read_input", wraps=corpus.read_input) as whole_file:
         assert _load_outcome(lambda: corpus._read_file(path, kind)) == expected
-    # only a fault sends the file through the whole-file read, which names it
-    assert whole_file.called == isinstance(expected, str)
+    # every fault is named in the stream, with no whole-file read
+    assert not whole_file.called
+
+
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb", b"\xef\xbbP1|2000|A\n", b"\xef\xbb\xbf\xef\xbb"])
+def test_a_file_of_part_of_a_byte_order_mark_is_not_valid_utf8(tmp_path, data):
+    """Part of a BOM is no BOM: an incremental utf-8-sig decoder reads a file of only that as empty."""
+    path = tmp_path / "records.psv"
+    path.write_bytes(data)
+    expected = _load_outcome(lambda: read_input(data))
+    assert expected.startswith("input is not valid UTF-8: ")
+    assert _load_outcome(lambda: corpus._read_file(path, "auto")) == expected
 
 
 # ---------------------------------------------------------------------------
