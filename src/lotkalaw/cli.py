@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from collections import Counter
 from dataclasses import asdict
 from math import log10
 from pathlib import Path
@@ -23,7 +22,6 @@ from .corpus import (
     Corpus,
     CountingMethod,
     ProductivityDistribution,
-    _credited,
     _distribution_of,
     _read_file,
     dump_distribution,
@@ -33,8 +31,6 @@ from .gof import COEFFICIENT_PRESETS, render_report_csv, run_ks
 from .lotka import fit_power_law
 
 __all__ = ["main", "build_parser", "UsageError"]
-
-_TALLY_NAMES = 1 << 17  # credited names held between tallies: one tally a chunk ran 10% slower
 
 
 class UsageError(Exception):
@@ -192,25 +188,20 @@ def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 # input handling
 
-def _load_input(args: argparse.Namespace, credit) -> Corpus | ProductivityDistribution:
+def _load_input(args: argparse.Namespace, method: CountingMethod | None = None):
+    """The input's records or table, and the tally of the names ``method`` credits."""
     try:
-        return _read_file(args.input, args.input_kind, credit)
+        return _read_file(args.input, args.input_kind, method)
     except OSError as exc:
         raise DataError(f"cannot read {args.input}: {exc.strerror}") from None
 
 
 def _distribution_for(args: argparse.Namespace) -> tuple[ProductivityDistribution, Corpus | None]:
     """The table to fit, counted as the file is read, and its records (None for a table)."""
-    method, tally, held = CountingMethod(args.counting), Counter(), []
-    def credit(slots, starts):
-        held.extend(_credited(slots, starts, method))
-        if len(held) >= _TALLY_NAMES:
-            tally.update(held)
-            held.clear()
-    loaded = _load_input(args, credit)
+    method = CountingMethod(args.counting)
+    loaded, tally = _load_input(args, method)
     if isinstance(loaded, ProductivityDistribution):
         return loaded, None
-    tally.update(held)
     return _distribution_of(tally, method), loaded
 
 
@@ -284,7 +275,7 @@ def cmd_ks(args: argparse.Namespace) -> str:
 
 
 def cmd_pattern(args: argparse.Namespace) -> str:
-    records = _load_input(args, lambda slots, starts: None)  # no names are needed
+    records, _ = _load_input(args)  # no names are needed
     if isinstance(records, ProductivityDistribution):
         raise DataError("pattern requires records input, not a distribution table")
     table = authorship_pattern(records, period_length=args.period, origin_year=args.origin)

@@ -23,6 +23,13 @@ counts the names as it reads, so it holds neither the whole bytes or
 text nor the name list, and it names every fault in the stream. Pipe
 chunks are checked a column at a time, with no Python call per line; the
 per-line check runs only to name a fault, or over input that cannot seek.
+A record file that the command line reads, if it can seek, is cut after
+newlines into one byte range per CPU, each of at least 2^21 bytes (a
+smaller file is one range). The calling process reads the first range,
+and a worker forked for each later one sends back the names it credits
+and its columns, which only the caller tallies and joins. A fault in any
+range, or an id repeated across ranges, sends the file from its start
+through the one-range read, which names it.
 Every record, parsed or built by hand, cleans its names:
 :func:`normalize_author` collapses runs of whitespace and empty name
 slots are dropped, so the same names count as one author either way.
@@ -36,8 +43,14 @@ are omitted, never written as rows.
 from __future__ import annotations
 
 import codecs
+import gc
 import json
+import os
+import pickle
 import re
+import select
+import signal
+import struct
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -46,6 +59,7 @@ from enum import Enum
 from functools import partial
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring as _json_string
+from typing import NoReturn
 
 import numpy as np
 
@@ -245,7 +259,7 @@ class ProductivityDistribution:
 
     def to_dict(self) -> dict:
         return {
-            "points": [list(p) for p in self.points],
+            "points": np.column_stack((self.xs, self.ys)).tolist(),
             "provenance": self.provenance,
             "total_authors": self.total_authors,
             "total_contributions": self.total_contributions,
@@ -257,6 +271,9 @@ class ProductivityDistribution:
 
 _BLOCK_BYTES = 1 << 20  # a record file is read this many bytes at a time
 _CHUNK_CHARS = 1 << 18  # text is parsed about this many characters at a time
+_SPLIT_BYTES = 1 << 21  # the fewest bytes in each range of a record file read by several processes
+_TALLY_NAMES = 1 << 17  # credited names held between tallies: one tally a chunk ran 10% slower
+_FRAME = struct.Struct("<cQ")  # the head of a worker's message: its kind, then its length in bytes
 # where splitlines() ends a line; a CR LF is one match, so no chunk ends between the two
 _LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
@@ -288,16 +305,19 @@ def _line_chunks(pieces: Iterable[str]) -> Iterator[str]:
         yield "".join(held)
 
 
-def _file_texts(file) -> Iterator[str]:
-    """Text of an open binary UTF-8 file, ``_BLOCK_BYTES`` at a time; a leading BOM is dropped.
+def _file_texts(file, end: int | None = None, bom: bool = True) -> Iterator[str]:
+    """Text of an open binary UTF-8 file, ``_BLOCK_BYTES`` at a time; ``bom`` drops a BOM.
 
-    A bad byte raises what :func:`read_input` raises for the whole file,
-    its position counted after the BOM. The BOM is stripped here, as a
-    ``utf-8-sig`` decoder takes a file of part of a BOM for empty.
+    The text runs from the file's position to byte ``end``, or to the
+    end of the file. A bad byte raises what :func:`read_input` raises for
+    the whole file, its position counted after the BOM. The BOM is
+    stripped here, as a ``utf-8-sig`` decoder takes a file of part of a
+    BOM for empty.
     """
     decoder, done = codecs.getincrementaldecoder("utf-8")(), 0  # bytes decoded after the BOM
-    head = file.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
-    for block in chain([head], iter(partial(file.read, _BLOCK_BYTES), b""), [b""]):
+    read = file.read if end is None else lambda size: file.read(min(size, end - file.tell()))
+    head = read(len(codecs.BOM_UTF8) * bom).removeprefix(codecs.BOM_UTF8)
+    for block in chain([head], iter(partial(read, _BLOCK_BYTES), b""), [b""]):
         try:
             text = decoder.decode(block, final=not block)
         except UnicodeDecodeError as exc:  # exc.object: the bytes held back, then the block
@@ -472,31 +492,235 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     return _ingest(_line_chunks((data,)), kind, again=lambda: _line_chunks((data,)))
 
 
-def _read_file(path, kind: str, credit=None) -> Corpus | ProductivityDistribution:
-    """``read_input`` of a file, read and parsed a chunk of whole lines at a time.
+def _read_file(path, kind: str, method: CountingMethod | None = None):
+    """``read_input`` of a file, read a chunk of whole lines at a time, and the tally of its names.
 
-    Neither the bytes nor the text are held whole. After a fault the
-    rest of the file is decoded, with no parse, so a later bad byte is
-    still the fault named. A file that cannot seek, such as a pipe, has
-    its pipe records read line by line. Given ``credit``, each chunk's
-    cleaned names and record starts go to ``credit(slots, starts)`` and
-    are dropped: the records keep no ``names``.
+    Returns the records or table and, given a counting ``method``, a
+    ``Counter`` of the papers each author is credited with (None without
+    one). Names go into the tally ``_TALLY_NAMES`` at a time and are
+    dropped: the records keep no ``names``. Neither the bytes nor the
+    text are held whole. A record file that can seek is cut into the
+    byte ranges of :func:`_ranges`; this process reads the first, and a
+    worker forked for each later range reads it and sends its credited
+    names and columns back (:func:`_work`). If a range has a fault, or an
+    id repeats across ranges, the file is read again from its start by
+    the per-line loop, crediting nothing, to name the fault as a one-range
+    read would. After a fault the file is decoded to its end, with no
+    parse (from its start, after a fault in the first of several
+    ranges), so a later bad byte is still the fault named. A file that
+    cannot seek, such as a pipe, has its pipe records read line by line.
+    Every worker is killed and reaped before this returns or raises.
     """
+    tally = None if method is None else Counter()
+    credit, flush = _crediting(method, None if tally is None else tally.update)
     with open(path, "rb") as file:
-        texts = _file_texts(file)
-
-        def again() -> Iterator[str]:
-            nonlocal texts
-            file.seek(0)
-            texts = _file_texts(file)
-            return _line_chunks(texts)
-
+        kind, starts = _ranges(file, kind)
+        workers: list[_Worker] = []
         try:
-            return _ingest(_line_chunks(texts), kind, credit, again if file.seekable() else None)
+            try:
+                for start, end in zip(starts[1:], [*starts[2:], None]):
+                    workers.append(_Worker(path, kind, method, start, end))
+            except OSError:  # no process or pipe to be had: the file is one range
+                _stop(workers)
+            texts = _file_texts(file, starts[1] if workers else None)
+
+            def again() -> Iterator[str]:
+                nonlocal texts
+                _stop(workers)
+                file.seek(0)
+                texts = _file_texts(file)
+                return _line_chunks(texts)
+
+            def credit_and_receive(slots, starts) -> None:
+                credit(slots, starts)
+                for worker in workers:  # a worker waits while its pipe is full
+                    worker.receive(tally, wait=False)
+
+            loaded = _ingest(_line_chunks(texts), kind, credit_and_receive,
+                             again if file.seekable() else None)
+            flush()
+            if workers:
+                loaded = _joined(loaded, (worker.receive(tally) for worker in workers))
+                if loaded is None:
+                    _parse_lines(again(), kind, _credit_nothing)
+                    raise AssertionError("a range of the file was refused with no fault in it")
+            return loaded, tally
         except DataError:
+            if workers:  # the first range's fault: a bad byte anywhere in the file comes first
+                again()
             for _ in texts:
                 pass
             raise
+        finally:
+            _stop(workers)
+
+
+def _ranges(file, kind: str) -> tuple[str, list[int]]:
+    """The kind of input a file holds, and the start of each byte range to read it in.
+
+    A record file that can seek is cut into one range for each CPU this
+    process may run on, fewer if a range would hold under
+    ``_SPLIT_BYTES``. Each range starts after a newline byte, which is
+    part of no other UTF-8 character, so the ranges hold whole lines. A
+    table, a file that cannot seek or a system with no ``fork`` is one
+    range, and ``"auto"`` is sniffed only for a file large enough to cut.
+    """
+    if not (file.seekable() and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return kind, [0]
+    size = os.fstat(file.fileno()).st_size
+    count = min(len(os.sched_getaffinity(0)), size // _SPLIT_BYTES)
+    starts = [0]
+    if count > 1 and kind == "auto":
+        try:
+            kind = _sniff(_line_chunks(_file_texts(file)))[0]
+        except DataError:  # named by the one-range read
+            count = 1
+    if count > 1 and kind in ("pipe", "jsonl"):
+        cuts = [size * i // count for i in range(1, count)]
+        for cut, end in zip(cuts, [*cuts[1:], size]):  # the first newline from each cut on
+            file.seek(cut)
+            while not (line := file.readline(_BLOCK_BYTES)).endswith(b"\n") and line \
+                    and file.tell() < end:
+                pass
+            if line.endswith(b"\n") and starts[-1] < file.tell() < size:
+                starts.append(file.tell())
+    file.seek(0)
+    return kind, starts
+
+
+def _credit_nothing(slots, starts) -> None:
+    """The credit of a read that tallies no names."""
+
+
+def _crediting(method: CountingMethod | None, take) -> tuple:
+    """``credit(slots, starts)`` for a read, and ``flush()`` to call after its last chunk.
+
+    ``credit`` holds the names that ``method`` credits and hands them to
+    ``take`` ``_TALLY_NAMES`` at a time; ``flush`` hands the rest. With
+    no method nothing is credited.
+    """
+    if method is None:
+        return _credit_nothing, lambda: None
+    held: list[str] = []
+
+    def flush() -> None:
+        if held:
+            take(held)
+            held.clear()
+
+    def credit(slots, starts) -> None:
+        held.extend(_credited(slots, starts, method))
+        if len(held) >= _TALLY_NAMES:
+            flush()
+
+    return credit, flush
+
+
+def _work(path, kind: str, method, start: int, end: int | None, out) -> NoReturn:
+    """In a forked worker: read bytes ``start`` to ``end`` of ``path`` and send them to ``out``.
+
+    Each batch of names that ``method`` credits goes as a ``b"N"``
+    message, the names joined by newlines, which no cleaned name holds.
+    Then the ids, years and author counts go as one pickled ``b"C"``
+    message, unless the range has a fault, which the parent names. The
+    worker leaves through ``os._exit``, never into its caller's stack or
+    the stdio buffers it shares with the parent.
+    """
+    gc.disable()  # a collection writes to every object, so copies the pages shared with the parent
+    try:
+        with open(path, "rb") as file:
+            file.seek(start)
+            chunks = _line_chunks(_file_texts(file, end, bom=False))
+            credit, flush = _crediting(method, lambda names: _send(
+                out, b"N", "\n".join(names).encode("utf-8", "surrogatepass")))
+            try:
+                columns = (_pipe_columns(chunks, credit) if kind == "pipe"
+                           else _parse_lines(chunks, kind, credit))
+            except DataError:
+                columns = None
+        if columns is not None:
+            flush()
+            _send(out, b"C", pickle.dumps((columns.ids, columns.years, np.diff(columns.offsets)),
+                                          pickle.HIGHEST_PROTOCOL))
+        out.flush()
+    finally:
+        os._exit(0)
+
+
+def _send(out, tag: bytes, payload: bytes) -> None:
+    """Write one message of a worker: its ``_FRAME`` head, then its payload."""
+    out.write(_FRAME.pack(tag, len(payload)))
+    out.write(payload)
+
+
+def _joined(first: Corpus, rest: Iterable[tuple | None]) -> Corpus | None:
+    """The columns of the ranges in file order; None if a range has a fault or an id repeats."""
+    ids, years, sizes = [first.ids], [first.years], [np.diff(first.offsets)]
+    later: set[str] = set()  # the ids of the later ranges; each range's own ids are distinct
+    for part in rest:
+        if part is None:
+            return None
+        later.update(part[0])
+        for column, value in zip((ids, years, sizes), part):
+            column.append(value)
+    if len(later) != sum(map(len, ids[1:])) or not later.isdisjoint(first.ids):
+        return None
+    del later  # before the joined ids are built, for a lower peak
+    ids = list(chain.from_iterable(ids))
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    return Corpus._of_checked(ids, np.concatenate(years), offsets, None)
+
+
+def _stop(workers: list[_Worker]) -> None:
+    """Kill and reap every worker in the list, which is left empty."""
+    while workers:
+        workers.pop().stop()
+
+
+class _Worker:
+    """A process forked to read bytes ``start`` to ``end`` of a record file, and what it sent.
+
+    The worker runs :func:`_work`. Its pipe holds a few batches of names
+    at most, so the parent reads what is ready between its own chunks.
+    """
+
+    def __init__(self, path, kind: str, method, start: int, end: int | None) -> None:
+        read, write = os.pipe()
+        with open(write, "wb") as out:
+            self.stream = open(read, "rb")
+            try:
+                self.pid = os.fork()
+            except OSError:
+                self.stream.close()
+                raise
+            if self.pid == 0:
+                self.stream.close()
+                _work(path, kind, method, start, end, out)
+        self.columns = None  # the ids, years and author counts, once sent
+        self.done = False  # whether the worker sent its columns or closed its pipe
+
+    def receive(self, tally: Counter | None, wait: bool = True) -> tuple | None:
+        """Tally each batch of names the worker sends, then return its columns.
+
+        With ``wait`` false, only the messages ready now are read. None
+        means that no columns came: the range has a fault.
+        """
+        while not self.done and (wait or select.select([self.stream], [], [], 0)[0]):
+            head = self.stream.read(_FRAME.size)
+            tag, size = _FRAME.unpack(head) if len(head) == _FRAME.size else (b"", 0)
+            payload = self.stream.read(size)
+            if tag == b"N" and len(payload) == size:
+                tally.update(payload.decode("utf-8", "surrogatepass").split("\n"))
+            else:
+                self.done = True
+                if tag == b"C" and len(payload) == size:
+                    self.columns = pickle.loads(payload)
+        return self.columns
+
+    def stop(self) -> None:
+        self.stream.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
 
 
 def _ingest(chunks: Iterator[str], kind: str, credit=None, again=None):
@@ -612,5 +836,4 @@ def _table_of(chunks: Iterable[str]) -> ProductivityDistribution:
 
 def dump_distribution(dist: ProductivityDistribution) -> str:
     """Serialize a distribution to CSV; `load_distribution` round-trips."""
-    lines = ["x,y"] + [f"{x},{y}" for x, y in dist.points]
-    return "".join(line + "\n" for line in lines)
+    return "x,y\n" + "".join(map("{},{}\n".format, dist.xs.tolist(), dist.ys.tolist()))

@@ -540,16 +540,21 @@ def test_cli_counts_a_record_file_without_its_name_list(capsys, monkeypatch, tmp
     """
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 14)
-    monkeypatch.setattr(cli, "_TALLY_NAMES", 1 << 12)
+    monkeypatch.setattr(corpus, "_TALLY_NAMES", 1 << 12)
     records = [PublicationRecord(f"P{i}", 1990 + i % 30, (f"Author {i % 97}", f"\u0141uk {i % 13}"))
                for i in range(20_000)]
     path = tmp_path / "records.jsonl"
     path.write_text(dump_records(records), encoding="utf-8")
     names_size = sys.getsizeof(parse_records(path.read_bytes(), "jsonl").names)
+
+    def streamed_with_names():
+        with open(path, "rb") as file:
+            return corpus._parse_lines(corpus._line_chunks(corpus._file_texts(file)), "jsonl")
+
     with_names = {
-        "ingest": lambda: count_productivity(corpus._read_file(path, "jsonl")),
+        "ingest": lambda: count_productivity(streamed_with_names()),
         "pattern": lambda: (lambda loaded: (authorship_pattern(loaded), collab_metrics(loaded)))(
-            corpus._read_file(path, "jsonl")),
+            streamed_with_names()),
     }
     peaks = _peaks(lambda: main([command, "--input", str(path)]), with_names[command])
     assert capsys.readouterr().out.startswith("x,y\n" if command == "ingest" else "authors,")
@@ -563,30 +568,49 @@ def _record_lines(fmt: str, count: int) -> list[str]:
                        ensure_ascii=False) + "\r\n" for i in range(count)]
 
 
-def test_a_bad_byte_is_named_before_an_earlier_data_fault(capsys, monkeypatch, tmp_path):
+@pytest.fixture(params=["one range", "two ranges"])
+def ranges(request, monkeypatch):
+    """A record file of a few kB read as one range, or as two with the second read by a worker."""
+    if request.param == "two ranges":
+        monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = mock.Mock(wraps=corpus._Worker)
+    monkeypatch.setattr(corpus, "_Worker", forked)
+    yield
+    assert forked.call_count == (request.param == "two ranges")
+
+
+@pytest.mark.parametrize("fmt, first, bad, position", [
+    ("pipe", b"P0|19x9|Author 0\n", b"P150|2000|Au\xffthor\n", 4283),
+    ("jsonl", b'{"id":"P0","year":"19x9","authors":["A"]}\n',
+     b'{"id":"P150","year":2000,"authors":["Au\xffthor"]}\n', 9848),
+])
+def test_a_bad_byte_is_named_before_an_earlier_data_fault(capsys, monkeypatch, tmp_path, fmt, first,
+                                                          bad, position, ranges):
     """A whole-file read decodes first, so its UTF-8 fault is the one named, at its file position."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
-    lines = [line.encode("utf-8") for line in _record_lines("pipe", 200)]
-    lines[0] = b"P0|19x9|Author 0\n"
-    lines[150] = b"P150|2000|Au\xffthor\n"
-    path = tmp_path / "records.psv"
+    lines = [line.encode("utf-8") for line in _record_lines(fmt, 200)]
+    lines[0], lines[150] = first, bad
+    path = tmp_path / "records.txt"
     path.write_bytes(b"".join(lines))
     assert run(capsys, "ingest", "--input", str(path)) == (2, "", (
         "data error: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
-        "in position 4283: invalid start byte\n"))
+        f"in position {position}: invalid start byte\n"))
 
 
+@pytest.mark.parametrize("first", [2, 150])  # split in two, the first range or the second
 @pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
-def test_a_duplicate_id_in_a_later_chunk_names_both_lines(capsys, monkeypatch, tmp_path, fmt):
+def test_a_duplicate_id_in_a_later_chunk_names_both_lines(capsys, monkeypatch, tmp_path, fmt, first,
+                                                          ranges):
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     lines = _record_lines(fmt, 200)
-    lines[179] = lines[2].replace("2000", "2001")
+    lines[179] = lines[first].replace("2000", "2001")
     path = tmp_path / "records.txt"
     path.write_bytes("".join(lines).encode("utf-8"))
-    assert run(capsys, "ingest", "--input", str(path)) == (
-        2, "", "data error: line 180: duplicate record id 'P2' (first seen on line 3)\n")
+    assert run(capsys, "ingest", "--input", str(path)) == (2, "", (
+        f"data error: line 180: duplicate record id 'P{first}' (first seen on line {first + 1})\n"))
 
 
 def test_a_column_pass_that_refuses_a_valid_file_fails_loudly(capsys, monkeypatch, tmp_path):
@@ -616,7 +640,7 @@ def test_a_column_pass_that_refuses_a_valid_file_fails_loudly(capsys, monkeypatc
     ("jsonl", '{"id":"P199","year":2000,"authors":[" "]}\r\n', "line 200: record 'P199' has no authors"),
 ])
 def test_a_fault_in_the_last_of_many_chunks_is_named(capsys, monkeypatch, tmp_path, command,
-                                                      fmt, fault, message):
+                                                      fmt, fault, message, ranges):
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     lines = _record_lines(fmt, 200)
@@ -641,7 +665,7 @@ def test_a_late_fault_peaks_no_higher_than_the_valid_file(capsys, monkeypatch, t
     """
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 14)
-    monkeypatch.setattr(cli, "_TALLY_NAMES", 1 << 12)
+    monkeypatch.setattr(corpus, "_TALLY_NAMES", 1 << 12)
     lines = [f"P{i}|{1990 + i % 30}|Author {i}; \u0141uk {40_000 // (i + 1)}\r\n"
              for i in range(40_000)]
     valid, faulty = tmp_path / "valid.psv", tmp_path / "faulty.psv"
@@ -685,6 +709,26 @@ def test_input_that_cannot_seek_reads_as_a_file(capsys, tmp_path, case):
     assert expected[0] == (0 if case == "valid" else 2)
 
 
+def test_a_file_read_by_two_processes_warns_of_nothing(capsys, monkeypatch, tmp_path):
+    """``python -W error`` fails on a warning, such as one that forking a threaded process gives.
+
+    The 5 MB file is cut in two on a host with two CPUs; the output is
+    that of a one-range read.
+    """
+    lines = [f"P{i}|{1990 + i % 30}|Author {i % 5000}; \u0141uk {i % 13}\n" for i in range(150_000)]
+    path = tmp_path / "records.psv"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert path.stat().st_size >= 2 * corpus._SPLIT_BYTES
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["report", "--input", str(path), "--preset", "paper"]
+    child = subprocess.run([sys.executable, "-W", "error", "-m", "lotkalaw", *argv],
+                           capture_output=True, env=env, timeout=120)
+    monkeypatch.setattr(corpus, "_SPLIT_BYTES", path.stat().st_size)
+    assert (child.returncode, child.stdout.decode(), child.stderr.decode()) == run(capsys, *argv)
+    assert child.stderr == b""
+
+
 @pytest.mark.parametrize("kind", ["pipe", "jsonl"])
 def test_a_blank_record_file_has_no_records_to_count(capsys, tmp_path, kind):
     path = tmp_path / "blank.txt"
@@ -725,7 +769,7 @@ def test_ingest_counts_a_file_as_the_library_counts_its_text(tmp_path_factory, c
     out = io.StringIO()
     with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes), \
             mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars), \
-            mock.patch.object(cli, "_TALLY_NAMES", tally_names), redirect_stdout(out):
+            mock.patch.object(corpus, "_TALLY_NAMES", tally_names), redirect_stdout(out):
         code = main(["ingest", "--input", str(path), "--input-kind", "auto" if sniff else fmt,
                      "--counting", method, "--format", "json"])
     assert code == 0

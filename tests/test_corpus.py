@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -575,24 +576,32 @@ def test_a_line_of_many_pieces_is_chunked_in_linear_time():
     assert elapsed < 1.0
 
 
+def _credited_names(records: Corpus, method) -> list[str]:
+    """Every name a method credits, one record at a time: the tally's reference."""
+    starts = records.offsets.tolist()
+    if CountingMethod(method) is CountingMethod.COMPLETE:
+        return records.names
+    return [records.names[start] for start in starts[:-1]]
+
+
+@pytest.mark.parametrize("method", list(CountingMethod))
 @pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
-def test_records_counted_as_they_are_read_keep_no_names(monkeypatch, tmp_path, fmt):
+def test_records_counted_as_they_are_read_keep_no_names(monkeypatch, tmp_path, fmt, method):
     """Each chunk's names go to the tally and no further; what the columns need stays."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
+    monkeypatch.setattr(corpus, "_TALLY_NAMES", 8)
+    credited = mock.Mock(wraps=corpus._credited)
+    monkeypatch.setattr(corpus, "_credited", credited)
     records = random_corpus(np.random.default_rng(17), max_authors=6)
     text = dump_records(records) if fmt == "jsonl" else "".join(
         f"{rec.id}|{rec.year}| ;{'; '.join(rec.authors)};\r\n" for rec in records)
     path = tmp_path / "records.txt"
     path.write_text(text, encoding="utf-8")
-    handed = []
-    loaded = corpus._read_file(path, fmt, lambda slots, starts: handed.append((slots, starts)))
+    loaded, tally = corpus._read_file(path, fmt, method)
     whole = parse_records(text, fmt)
-    assert len(handed) > 10 and not hasattr(loaded, "names")
-    assert [name for slots, _ in handed for name in slots] == whole.names
-    assert np.concatenate([starts + done for (_, starts), done in zip(
-        handed, np.cumsum([0, *(len(slots) for slots, _ in handed)]))]).tolist() \
-        == whole.offsets[:-1].tolist()
+    assert credited.call_count > 10 and not hasattr(loaded, "names")
+    assert tally == Counter(_credited_names(whole, method))
     assert (loaded.ids, loaded.years.tolist(), loaded.offsets.tolist()) \
         == (whole.ids, whole.years.tolist(), whole.offsets.tolist())
     assert authorship_pattern(loaded) == authorship_pattern(whole)
@@ -610,8 +619,10 @@ def test_naming_a_pipe_fault_credits_no_name_twice(monkeypatch, tmp_path):
     path.write_text("".join(f"P{i}|2000|Author {i}\n" for i in range(199)) + "P199|19x9|A\n",
                     encoding="utf-8")
     handed = []
+    credited = corpus._credited
+    monkeypatch.setattr(corpus, "_credited", lambda *args: handed.extend(credited(*args)) or [])
     with pytest.raises(DataError, match="^line 200: year '19x9' is not an integer$"):
-        corpus._read_file(path, "pipe", lambda slots, starts: handed.extend(slots))
+        corpus._read_file(path, "pipe", CountingMethod.COMPLETE)
     assert 150 < len(handed) == len(set(handed))
 
 
@@ -645,13 +656,32 @@ def _load_outcome(load):
     return loaded.ids, loaded.years.tolist(), loaded.offsets.tolist(), loaded.names
 
 
+def _counted_outcome(load, method):
+    """The columns a load returns and the tally of the names ``method`` credits, or its DataError."""
+    try:
+        loaded = load()
+    except DataError as exc:
+        return str(exc)
+    tally = None if method is None else Counter(_credited_names(loaded, method))
+    return loaded.ids, loaded.years.tolist(), loaded.offsets.tolist(), tally
+
+
+def _file_outcome(path, kind, method):
+    """``_read_file``'s columns and tally, or the text of the DataError it raises."""
+    try:
+        loaded, tally = corpus._read_file(path, kind, method)
+    except DataError as exc:
+        return str(exc)
+    return loaded.ids, loaded.years.tolist(), loaded.offsets.tolist(), tally
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(st.one_of(st.tuples(st.just("pipe"), _pipe_texts()),
                  st.tuples(st.just("jsonl"), _jsonl_texts())),
        st.booleans(), st.booleans(), st.none() | st.integers(0, 10**4),
-       st.integers(1, 7), st.integers(1, 40))
+       st.integers(1, 7), st.integers(1, 40), st.sampled_from([None, *CountingMethod]))
 def test_a_file_read_in_chunks_parses_as_its_whole_text(tmp_path_factory, case, bom, sniff,
-                                                        bad_byte, block_bytes, chunk_chars):
+                                                        bad_byte, block_bytes, chunk_chars, method):
     """Blocks of a few bytes cut CR LF pairs and multi-byte characters in two."""
     fmt, text = case
     data = b"\xef\xbb\xbf" * bom + text.encode("utf-8")
@@ -659,13 +689,13 @@ def test_a_file_read_in_chunks_parses_as_its_whole_text(tmp_path_factory, case, 
         bad_byte %= len(data) + 1
         data = data[:bad_byte] + b"\xff" + data[bad_byte:]
     kind = "auto" if sniff else fmt
-    expected = _load_outcome(lambda: read_input(data, kind))
+    expected = _counted_outcome(lambda: read_input(data, kind), method)
     path = tmp_path_factory.getbasetemp() / "records_in_chunks"
     path.write_bytes(data)
     with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes), \
             mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars), \
             mock.patch.object(corpus, "read_input", wraps=corpus.read_input) as whole_file:
-        assert _load_outcome(lambda: corpus._read_file(path, kind)) == expected
+        assert _file_outcome(path, kind, method) == expected
     # every fault is named in the stream, with no whole-file read
     assert not whole_file.called
 
@@ -677,7 +707,102 @@ def test_a_file_of_part_of_a_byte_order_mark_is_not_valid_utf8(tmp_path, data):
     path.write_bytes(data)
     expected = _load_outcome(lambda: read_input(data))
     assert expected.startswith("input is not valid UTF-8: ")
-    assert _load_outcome(lambda: corpus._read_file(path, "auto")) == expected
+    assert _file_outcome(path, "auto", None) == expected
+
+
+_SPLIT_NAMES = st.sampled_from(["Smith J", " Ng\u3000L ", "\u0141uk \u017b", "\ufeffA", "\ud800", ""])
+
+
+@st.composite
+def _split_files(draw):
+    """A record file's bytes and format: lines that start with U+FEFF or a non-ASCII letter,
+    CR LF and lone CR ends, runs of blank lines that can fill a range, at most one data
+    fault and sometimes a bad byte."""
+    fmt = draw(st.sampled_from(["pipe", "jsonl"]))
+    lines = []
+    for i in range(draw(st.integers(0, 30))):
+        start = draw(st.sampled_from(["", "\ufeff", "\u0141", "\u3000"]))
+        names = [*draw(st.lists(_SPLIT_NAMES, max_size=4)), "A"]
+        if fmt == "pipe":  # a lone surrogate cannot be written as UTF-8, but JSON escapes it
+            lines.append(f"{start}P{i}|{1990 + i}|{';'.join(names).replace(chr(0xd800), 'B')}")
+        else:
+            lines.append(start.strip("\ufeff\u0141")
+                         + json.dumps({"id": f"{start}P{i}", "year": 1990 + i, "authors": names}))
+    fault = draw(st.sampled_from([None, None, "duplicate", "year", "U+FEFF"]))
+    if fault and lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        if fault == "U+FEFF":  # part of a pipe id, but no JSON
+            lines[i] = "\ufeff" + lines[i]
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), lines[i] if fault == "duplicate"
+                         else lines[i].replace("|19", "|x").replace(": 19", ": -"))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(["\n", "\r\n", "\r", "\x85"]))
+        text += " \n" * draw(st.sampled_from([0, 0, 1, 40]))
+    data = b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode("utf-8", "surrogatepass")
+    if draw(st.sampled_from([False, False, False, True])):  # a bad byte
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return fmt, data
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_split_files(), st.sampled_from([None, *CountingMethod]), st.booleans(), st.integers(2, 4),
+       st.integers(1, 32), st.integers(1, 7), st.integers(1, 40))
+def test_a_file_read_in_ranges_reads_as_one_range(tmp_path_factory, case, method, sniff, cpus,
+                                                   split_bytes, block_bytes, chunk_chars):
+    """Workers forked for the later ranges give the records, tally and fault of a one-range read."""
+    fmt, data = case
+    path = tmp_path_factory.getbasetemp() / "records_in_ranges"
+    path.write_bytes(data)
+    kind = "auto" if sniff else fmt
+    with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars):
+        expected = _file_outcome(path, kind, method)
+        with mock.patch.object(corpus, "_SPLIT_BYTES", split_bytes), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+            assert _file_outcome(path, kind, method) == expected
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Interrupt(Exception):
+    """Raised in the parent in the middle of a read."""
+
+
+@pytest.mark.parametrize("case", ["valid", "fault in the first range", "fault in a later range",
+                                  "interrupted"])
+def test_no_worker_outlives_the_read(monkeypatch, tmp_path, case):
+    monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forked = mock.Mock(wraps=corpus._Worker)
+    monkeypatch.setattr(corpus, "_Worker", forked)
+    lines = [f"P{i}|2000|Author {i}\n" for i in range(300)]
+    if case == "fault in the first range":
+        lines[5] = "P5|x|A\n"
+    elif case == "fault in a later range":
+        lines[-5] = "P295|x|A\n"
+    path = tmp_path / "records.psv"
+    path.write_text("".join(lines), encoding="utf-8")
+    raised = {"valid": None, "interrupted": _Interrupt}.get(case, DataError)
+    parent, credited = os.getpid(), corpus._credited
+
+    def interrupt_the_parent(*args):
+        if case == "interrupted" and os.getpid() == parent:
+            raise _Interrupt
+        return credited(*args)
+
+    monkeypatch.setattr(corpus, "_credited", interrupt_the_parent)
+    try:
+        corpus._read_file(path, "pipe", CountingMethod.COMPLETE)
+    except (DataError, _Interrupt) as exc:
+        assert type(exc) is raised
+    else:
+        assert raised is None
+    assert forked.call_count == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
