@@ -772,8 +772,9 @@ class _Interrupt(Exception):
 
 
 @pytest.mark.parametrize("case", ["valid", "fault in the first range", "fault in a later range",
-                                  "interrupted"])
+                                  "interrupted", "second fork fails"])
 def test_no_worker_outlives_the_read(monkeypatch, tmp_path, case):
+    """A fork that fails leaves the file to be read as one range."""
     monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     forked = mock.Mock(wraps=corpus._Worker)
@@ -785,7 +786,7 @@ def test_no_worker_outlives_the_read(monkeypatch, tmp_path, case):
         lines[-5] = "P295|x|A\n"
     path = tmp_path / "records.psv"
     path.write_text("".join(lines), encoding="utf-8")
-    raised = {"valid": None, "interrupted": _Interrupt}.get(case, DataError)
+    raised = {"interrupted": _Interrupt}.get(case, DataError if "fault" in case else None)
     parent, credited = os.getpid(), corpus._credited
 
     def interrupt_the_parent(*args):
@@ -794,12 +795,17 @@ def test_no_worker_outlives_the_read(monkeypatch, tmp_path, case):
         return credited(*args)
 
     monkeypatch.setattr(corpus, "_credited", interrupt_the_parent)
+    if case == "second fork fails":
+        fork = os.fork
+        forks = iter([fork, mock.Mock(side_effect=BlockingIOError(11, "no process to be had"))])
+        monkeypatch.setattr(os, "fork", lambda: next(forks)())
     try:
-        corpus._read_file(path, "pipe", CountingMethod.COMPLETE)
+        loaded, tally = corpus._read_file(path, "pipe", CountingMethod.COMPLETE)
     except (DataError, _Interrupt) as exc:
         assert type(exc) is raised
     else:
         assert raised is None
+        assert len(loaded) == len(tally) == 300
     assert forked.call_count == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
