@@ -25,9 +25,9 @@ chunks are checked a column at a time, with no Python call per line; the
 per-line check runs only to name a fault, or over input that cannot seek.
 A record file that the command line reads, if it can seek, is cut after
 newlines into one byte range per CPU, each of at least 2^21 bytes (a
-smaller file is one range). The calling process reads the first range,
-and a worker forked for each later one sends back the names it credits
-and its columns, which only the caller tallies and joins. A fault in any
+smaller file is one range). A worker forked for each range, the first
+included, sends back the names it credits and its columns; the calling
+process parses no range, and only tallies and joins. A fault in any
 range, or an id repeated across ranges, sends the file from its start
 through the one-range read, which names it.
 Every record, parsed or built by hand, cleans its names:
@@ -305,8 +305,8 @@ def _line_chunks(pieces: Iterable[str]) -> Iterator[str]:
         yield "".join(held)
 
 
-def _file_texts(file, end: int | None = None, bom: bool = True) -> Iterator[str]:
-    """Text of an open binary UTF-8 file, ``_BLOCK_BYTES`` at a time; ``bom`` drops a BOM.
+def _file_texts(file, end: int | None = None) -> Iterator[str]:
+    """Text of an open binary UTF-8 file, ``_BLOCK_BYTES`` at a time, with no BOM at byte 0.
 
     The text runs from the file's position to byte ``end``, or to the
     end of the file. A bad byte raises what :func:`read_input` raises for
@@ -316,7 +316,8 @@ def _file_texts(file, end: int | None = None, bom: bool = True) -> Iterator[str]
     """
     decoder, done = codecs.getincrementaldecoder("utf-8")(), 0  # bytes decoded after the BOM
     read = file.read if end is None else lambda size: file.read(min(size, end - file.tell()))
-    head = read(len(codecs.BOM_UTF8) * bom).removeprefix(codecs.BOM_UTF8)
+    at_start = not file.seekable() or file.tell() == 0  # input that cannot seek is read from its start
+    head = read(len(codecs.BOM_UTF8) * at_start).removeprefix(codecs.BOM_UTF8)
     for block in chain([head], iter(partial(read, _BLOCK_BYTES), b""), [b""]):
         try:
             text = decoder.decode(block, final=not block)
@@ -500,55 +501,50 @@ def _read_file(path, kind: str, method: CountingMethod | None = None):
     one). Names go into the tally ``_TALLY_NAMES`` at a time and are
     dropped: the records keep no ``names``. Neither the bytes nor the
     text are held whole. A record file that can seek is cut into the
-    byte ranges of :func:`_ranges`; this process reads the first, and a
-    worker forked for each later range reads it and sends its credited
-    names and columns back (:func:`_work`). If a range has a fault, or an
-    id repeats across ranges, the file is read again from its start by
-    the per-line loop, crediting nothing, to name the fault as a one-range
-    read would. After a fault the file is decoded to its end, with no
-    parse (from its start, after a fault in the first of several
-    ranges), so a later bad byte is still the fault named. A file that
-    cannot seek, such as a pipe, has its pipe records read line by line.
-    Every worker is killed and reaped before this returns or raises.
+    byte ranges of :func:`_ranges`, each read by a forked worker
+    (:func:`_work`); this process parses no range, but tallies the names
+    each worker sends and joins their columns in file order. If a range
+    has a fault, or an id repeats across ranges, the file is read again
+    from its start by the per-line loop, crediting nothing, to name the
+    fault as a one-range read would. After a fault the file is decoded
+    to its end, with no parse, so a later bad byte is still the fault
+    named. A file that cannot seek, such as a pipe, has its pipe records
+    read line by line. Every worker is killed and reaped before this
+    returns or raises.
     """
     tally = None if method is None else Counter()
-    credit, flush = _crediting(method, None if tally is None else tally.update)
     with open(path, "rb") as file:
         kind, starts = _ranges(file, kind)
         workers: list[_Worker] = []
+        texts = _file_texts(file)
+
+        def again() -> Iterator[str]:
+            nonlocal texts
+            _stop(workers)
+            file.seek(0)
+            texts = _file_texts(file)
+            return _line_chunks(texts)
+
         try:
             try:
-                for start, end in zip(starts[1:], [*starts[2:], None]):
+                for start, end in zip(starts, [*starts[1:], None]) if len(starts) > 1 else ():
                     workers.append(_Worker(path, kind, method, start, end))
             except OSError:  # no process or pipe to be had: the file is one range
                 _stop(workers)
-            texts = _file_texts(file, starts[1] if workers else None)
-
-            def again() -> Iterator[str]:
-                nonlocal texts
-                _stop(workers)
-                file.seek(0)
-                texts = _file_texts(file)
-                return _line_chunks(texts)
-
-            def credit_and_receive(slots, starts) -> None:
-                credit(slots, starts)
-                for worker in workers:  # a worker waits while its pipe is full
-                    worker.receive(tally, wait=False)
-
-            loaded = _ingest(_line_chunks(texts), kind, credit_and_receive,
-                             again if file.seekable() else None)
-            flush()
             if workers:
-                loaded = _joined(loaded, (worker.receive(tally) for worker in workers))
-                if loaded is None:
+                while waiting := {worker.stream: worker for worker in workers if not worker.done}:
+                    for stream in select.select(list(waiting), [], [])[0]:
+                        waiting[stream].receive(tally)
+                if (loaded := _joined(worker.columns for worker in workers)) is None:
                     _parse_lines(again(), kind, _credit_nothing)
                     raise AssertionError("a range of the file was refused with no fault in it")
+                return loaded, tally
+            credit, flush = _crediting(method, None if tally is None else tally.update)
+            loaded = _ingest(_line_chunks(texts), kind, credit, again if file.seekable() else None)
+            flush()
             return loaded, tally
         except DataError:
-            if workers:  # the first range's fault: a bad byte anywhere in the file comes first
-                again()
-            for _ in texts:
+            for _ in texts:  # a bad byte later in the file is the fault named
                 pass
             raise
         finally:
@@ -619,18 +615,19 @@ def _crediting(method: CountingMethod | None, take) -> tuple:
 def _work(path, kind: str, method, start: int, end: int | None, out) -> NoReturn:
     """In a forked worker: read bytes ``start`` to ``end`` of ``path`` and send them to ``out``.
 
-    Each batch of names that ``method`` credits goes as a ``b"N"``
-    message, the names joined by newlines, which no cleaned name holds.
-    Then the ids, years and author counts go as one pickled ``b"C"``
-    message, unless the range has a fault, which the parent names. The
-    worker leaves through ``os._exit``, never into its caller's stack or
-    the stdio buffers it shares with the parent.
+    Every range of a split file is read here, the first included. Each
+    batch of names that ``method`` credits goes as a ``b"N"`` message,
+    the names joined by newlines, which no cleaned name holds. Then the
+    ids, years and author counts go as one pickled ``b"C"`` message,
+    unless the range has a fault, which the parent names. The worker
+    leaves through ``os._exit``, never into its caller's stack or the
+    stdio buffers it shares with the parent.
     """
     gc.disable()  # a collection writes to every object, so copies the pages shared with the parent
     try:
         with open(path, "rb") as file:
             file.seek(start)
-            chunks = _line_chunks(_file_texts(file, end, bom=False))
+            chunks = _line_chunks(_file_texts(file, end))
             credit, flush = _crediting(method, lambda names: _send(
                 out, b"N", "\n".join(names).encode("utf-8", "surrogatepass")))
             try:
@@ -653,19 +650,19 @@ def _send(out, tag: bytes, payload: bytes) -> None:
     out.write(payload)
 
 
-def _joined(first: Corpus, rest: Iterable[tuple | None]) -> Corpus | None:
+def _joined(parts: Iterable[tuple | None]) -> Corpus | None:
     """The columns of the ranges in file order; None if a range has a fault or an id repeats."""
-    ids, years, sizes = [first.ids], [first.years], [np.diff(first.offsets)]
-    later: set[str] = set()  # the ids of the later ranges; each range's own ids are distinct
-    for part in rest:
+    ids, years, sizes = [], [], []
+    seen: set[str] = set()  # each range's own ids are distinct
+    for part in parts:
         if part is None:
             return None
-        later.update(part[0])
+        seen.update(part[0])
         for column, value in zip((ids, years, sizes), part):
             column.append(value)
-    if len(later) != sum(map(len, ids[1:])) or not later.isdisjoint(first.ids):
+    if len(seen) != sum(map(len, ids)):
         return None
-    del later  # before the joined ids are built, for a lower peak
+    del seen  # before the joined ids are built, for a lower peak
     ids = list(chain.from_iterable(ids))
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
     return Corpus._of_checked(ids, np.concatenate(years), offsets, None)
@@ -680,8 +677,10 @@ def _stop(workers: list[_Worker]) -> None:
 class _Worker:
     """A process forked to read bytes ``start`` to ``end`` of a record file, and what it sent.
 
-    The worker runs :func:`_work`. Its pipe holds a few batches of names
-    at most, so the parent reads what is ready between its own chunks.
+    The worker runs :func:`_work` and waits while its pipe is full, so
+    the parent reads a message whenever a pipe is ready. K ranges run
+    K + 1 processes at once, and the peak RSS that ``os.wait4`` reports
+    for the command line is the largest of their K + 1 peaks.
     """
 
     def __init__(self, path, kind: str, method, start: int, end: int | None) -> None:
@@ -699,23 +698,21 @@ class _Worker:
         self.columns = None  # the ids, years and author counts, once sent
         self.done = False  # whether the worker sent its columns or closed its pipe
 
-    def receive(self, tally: Counter | None, wait: bool = True) -> tuple | None:
-        """Tally each batch of names the worker sends, then return its columns.
+    def receive(self, tally: Counter | None) -> None:
+        """Read one message: tally a batch of names, or keep the columns and be done.
 
-        With ``wait`` false, only the messages ready now are read. None
-        means that no columns came: the range has a fault.
+        A pipe closed before the columns came leaves ``columns`` None:
+        the range has a fault.
         """
-        while not self.done and (wait or select.select([self.stream], [], [], 0)[0]):
-            head = self.stream.read(_FRAME.size)
-            tag, size = _FRAME.unpack(head) if len(head) == _FRAME.size else (b"", 0)
-            payload = self.stream.read(size)
-            if tag == b"N" and len(payload) == size:
-                tally.update(payload.decode("utf-8", "surrogatepass").split("\n"))
-            else:
-                self.done = True
-                if tag == b"C" and len(payload) == size:
-                    self.columns = pickle.loads(payload)
-        return self.columns
+        head = self.stream.read(_FRAME.size)
+        tag, size = _FRAME.unpack(head) if len(head) == _FRAME.size else (b"", 0)
+        payload = self.stream.read(size)
+        if tag == b"N" and len(payload) == size:
+            tally.update(payload.decode("utf-8", "surrogatepass").split("\n"))
+        else:
+            self.done = True
+            if tag == b"C" and len(payload) == size:
+                self.columns = pickle.loads(payload)
 
     def stop(self) -> None:
         self.stream.close()
@@ -737,7 +734,7 @@ def _ingest(chunks: Iterator[str], kind: str, credit=None, again=None):
     if kind == "pipe" and again is not None:
         if (columns := _pipe_columns(chunks, credit)) is not None:
             return columns
-        _parse_lines(again(), kind, lambda slots, starts: None)  # credits nothing: holds no names
+        _parse_lines(again(), kind, _credit_nothing)  # holds no names
         raise AssertionError("the column pass refused pipe text with no fault")
     return _parse_lines(chunks, kind, credit)
 

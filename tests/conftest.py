@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,14 @@ def random_corpus(rng: np.random.Generator, max_records: int = 50,
         names = tuple(str(pool[j]) for j in rng.integers(0, len(pool), size=k))
         records.append(PublicationRecord(f"r{i}", 1990 + int(rng.integers(0, 30)), names))
     return records
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_worker():
+    """Every process a test forks or starts has been reaped when the test ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -570,14 +570,14 @@ def _record_lines(fmt: str, count: int) -> list[str]:
 
 @pytest.fixture(params=["one range", "two ranges"])
 def ranges(request, monkeypatch):
-    """A record file of a few kB read as one range, or as two with the second read by a worker."""
+    """A record file of a few kB read as one range, or as two, each read by a worker."""
     if request.param == "two ranges":
         monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forked = mock.Mock(wraps=corpus._Worker)
     monkeypatch.setattr(corpus, "_Worker", forked)
     yield
-    assert forked.call_count == (request.param == "two ranges")
+    assert forked.call_count == 2 * (request.param == "two ranges")
 
 
 @pytest.mark.parametrize("fmt, first, bad, position", [

@@ -752,7 +752,7 @@ def _split_files(draw):
        st.integers(1, 32), st.integers(1, 7), st.integers(1, 40))
 def test_a_file_read_in_ranges_reads_as_one_range(tmp_path_factory, case, method, sniff, cpus,
                                                    split_bytes, block_bytes, chunk_chars):
-    """Workers forked for the later ranges give the records, tally and fault of a one-range read."""
+    """Workers forked for the ranges give the records, tally and fault of a one-range read."""
     fmt, data = case
     path = tmp_path_factory.getbasetemp() / "records_in_ranges"
     path.write_bytes(data)
@@ -777,6 +777,14 @@ def test_no_worker_outlives_the_read(monkeypatch, tmp_path, case):
     """A fork that fails leaves the file to be read as one range."""
     monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    receive = corpus._Worker.receive
+
+    def interrupt_the_parent(worker, tally):
+        receive(worker, tally)
+        raise _Interrupt
+
+    if case == "interrupted":  # after the first message the parent reads
+        monkeypatch.setattr(corpus._Worker, "receive", interrupt_the_parent)
     forked = mock.Mock(wraps=corpus._Worker)
     monkeypatch.setattr(corpus, "_Worker", forked)
     lines = [f"P{i}|2000|Author {i}\n" for i in range(300)]
@@ -787,14 +795,6 @@ def test_no_worker_outlives_the_read(monkeypatch, tmp_path, case):
     path = tmp_path / "records.psv"
     path.write_text("".join(lines), encoding="utf-8")
     raised = {"interrupted": _Interrupt}.get(case, DataError if "fault" in case else None)
-    parent, credited = os.getpid(), corpus._credited
-
-    def interrupt_the_parent(*args):
-        if case == "interrupted" and os.getpid() == parent:
-            raise _Interrupt
-        return credited(*args)
-
-    monkeypatch.setattr(corpus, "_credited", interrupt_the_parent)
     if case == "second fork fails":
         fork = os.fork
         forks = iter([fork, mock.Mock(side_effect=BlockingIOError(11, "no process to be had"))])
@@ -806,9 +806,27 @@ def test_no_worker_outlives_the_read(monkeypatch, tmp_path, case):
     else:
         assert raised is None
         assert len(loaded) == len(tally) == 300
-    assert forked.call_count == 2
+    assert forked.call_count == (2 if case == "second fork fails" else 3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
+def test_the_parent_parses_no_range_of_a_split_file(monkeypatch, tmp_path, fmt):
+    """Every range goes to a worker: the parent only tallies and joins."""
+    monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spies = {name: mock.Mock(wraps=getattr(corpus, name)) for name in ("_pipe_columns", "_parse_lines")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(corpus, name, spy)
+    records = [PublicationRecord(f"P{i}", 2000, (f"Author {i}", f"Author {i % 7}")) for i in range(300)]
+    path = tmp_path / "records.txt"
+    path.write_text(dump_records(records) if fmt == "jsonl" else "".join(
+        f"{rec.id}|{rec.year}|{'; '.join(rec.authors)}\n" for rec in records), encoding="utf-8")
+    loaded, tally = corpus._read_file(path, fmt, CountingMethod.COMPLETE)
+    assert loaded.ids == [rec.id for rec in records]
+    assert tally == Counter(_credited_names(Corpus(records), CountingMethod.COMPLETE))
+    assert not any(spy.called for spy in spies.values())
 
 
 # ---------------------------------------------------------------------------
