@@ -20,16 +20,16 @@ Two record formats are supported:
 :class:`Corpus`. Text is parsed in chunks of whole lines (about 2^18
 characters each), and the command line reads a file the same way and
 counts the names as it reads, so it holds neither the whole bytes or
-text nor the name list, and it names every fault in the stream. Pipe
-chunks are checked a column at a time, with no Python call per line; the
-per-line check runs only to name a fault, or over input that cannot seek.
+text nor the name list. Pipe chunks are checked a column at a time, with
+no Python call per line; a chunk that check refuses, and every JSON
+chunk, is read line by line, which names the first fault in that pass.
 A record file that the command line reads, if it can seek, is cut after
 newlines into one byte range per CPU, each of at least 2^21 bytes (a
 smaller file is one range). A worker forked for each range, the first
 included, sends back the names it credits and its columns; the calling
 process parses no range, and only tallies and joins. A fault in any
-range, or an id repeated across ranges, sends the file from its start
-through the one-range read, which names it.
+range, an id repeated across ranges or a worker that dies sends the
+file through the one-range read, which names any fault.
 Every record, parsed or built by hand, cleans its names:
 :func:`normalize_author` collapses runs of whitespace and empty name
 slots are dropped, so the same names count as one author either way.
@@ -57,7 +57,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from json.encoder import encode_basestring as _json_string
 from typing import NoReturn
 
@@ -279,7 +279,7 @@ _LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _line_chunks(pieces: Iterable[str]) -> Iterator[str]:
-    """The text of ``pieces`` again, in chunks that each end at a line boundary.
+    """The text of ``pieces``, in chunks that each end at a line boundary.
 
     A chunk runs to the first line end at or after ``_CHUNK_CHARS``
     characters, so ``splitlines()`` over the chunks gives the lines of
@@ -365,83 +365,98 @@ def _parse_jsonl_line(line: str) -> tuple:
     return obj["id"], obj["year"], authors
 
 
-def _pipe_columns(chunks: Iterable[str], credit=None) -> Corpus | None:
-    """Columns of valid pipe text, or None at the first chunk with a faulty line.
+def _records(chunks: Iterable[str], fmt: str, credit=None) -> Corpus:
+    """The records of the chunks, each chunk read in the one pass that names its first fault.
 
-    Each chunk of whole lines is split and checked a column at a time,
-    with no Python call per line. None leaves the naming of the first
-    fault to the per-line loop.
+    A pipe chunk goes through the column check; any other chunk, or one
+    it refuses, through the per-line reader. Given ``credit``, each
+    chunk's cleaned slots and record starts go to it and are dropped.
     """
-    ids: list[str] = []
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # id -> line, in record order: the ids column
     years, sizes, names = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
+    lineno = 0  # the lines of the chunks before
     for chunk in chunks:
-        lines = list(filter(None, map(str.strip, chunk.splitlines())))
-        if not lines:
-            continue
-        if set(map(str.count, lines, repeat("|"))) != {2}:
-            return None
-        fields = "|".join(lines).split("|")
-        chunk_ids = list(map(str.strip, fields[0::3]))
-        ids += chunk_ids
-        seen.update(chunk_ids)
-        try:
-            chunk_years = np.array(list(map(int, fields[1::3])), np.int64)
-        except (ValueError, OverflowError):  # not an integer, or beyond 64 bits
-            return None
-        authors = fields[2::3]
-        counts = np.array(list(map(str.count, authors, repeat(";"))), np.int64) + 1
-        slots = list(map(" ".join, map(str.split, ";".join(authors).split(";"))))
-        if "" in slots:  # drop the empty name slots, as _check_record does
-            keep = np.array(list(map(bool, slots)))
-            counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.int64)
-            slots = list(filter(None, slots))
-        if "" in chunk_ids or len(seen) != len(ids) or chunk_years.min() <= 0 or not counts.all():
-            return None
+        lines = chunk.splitlines()
+        chunk_years, counts, slots = (fmt == "pipe" and _pipe_block(lines, lineno, seen)
+                                      or _line_block(lines, lineno, fmt, seen))
+        lineno += len(lines)
         years.append(chunk_years)
         sizes.append(counts)
         if credit is None:
             names += slots
         else:
             credit(slots, np.cumsum(counts) - counts)
+        del lines, slots  # before the next chunk is read
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    return Corpus._of_checked(ids, np.concatenate(years), offsets, None if credit else names)
+    return Corpus._of_checked(list(seen), np.concatenate(years), offsets, None if credit else names)
 
 
-def _parse_lines(chunks: Iterable[str], fmt: str, credit=None) -> Corpus:
-    """Records of the chunks, one line at a time: the JSONL parser, and the namer of a pipe fault."""
+def _pipe_block(lines: list[str], lineno: int, seen: dict[str, int]) -> tuple | None:
+    """The years, author counts and cleaned slots of a chunk's pipe lines, or None at a fault.
+
+    The lines are checked a column at a time, with no Python call per
+    line, and each id goes into ``seen`` with its line number, counted on
+    from ``lineno``. None leaves ``seen`` as it was.
+    """
+    stripped = list(map(str.strip, lines))
+    numbers = range(lineno + 1, lineno + len(lines) + 1)
+    if "" in stripped:  # blank lines hold no record
+        numbers, stripped = compress(numbers, stripped), list(filter(None, stripped))
+    if set(map(str.count, stripped, repeat("|"))) != {2}:
+        return None
+    fields = "|".join(stripped).split("|")
+    ids = list(map(str.strip, fields[0::3]))
+    try:
+        years = np.array(list(map(int, fields[1::3])), np.int64)
+    except (ValueError, OverflowError):  # not an integer, or beyond 64 bits
+        return None
+    authors = fields[2::3]
+    counts = np.array(list(map(str.count, authors, repeat(";"))), np.int64) + 1
+    slots = list(map(" ".join, map(str.split, ";".join(authors).split(";"))))
+    if "" in slots:  # drop the empty name slots, as _check_record does
+        keep = np.array(list(map(bool, slots)))
+        counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.int64)
+        slots = list(filter(None, slots))
+    lines_of = dict(zip(ids, numbers))
+    if ("" in lines_of or len(lines_of) != len(ids) or not seen.keys().isdisjoint(lines_of)
+            or years.min() <= 0 or not counts.all()):
+        return None
+    seen.update(lines_of)
+    return years, counts, slots
+
+
+def _line_block(lines: list[str], lineno: int, fmt: str, seen: dict[str, int]) -> tuple:
+    """The years, author counts and cleaned names of a chunk's lines, parsed one at a time.
+
+    Lines are numbered on from ``lineno`` and each id goes into ``seen``;
+    the first fault raises :class:`DataError` naming its line, and a
+    repeated id the line it was first seen on, in this chunk or before.
+    """
     parse_line = _parse_pipe_line if fmt == "pipe" else _parse_jsonl_line
-    seen: dict[str, int] = {}  # id -> line, in record order: the ids column
-    years, offsets, names = array("q"), array("q", [0]), []
-    lineno = dropped = 0  # the last line read, and the names handed to credit
-    for chunk in chunks:
-        chunk_start = len(years)
-        for lineno, raw in enumerate(chunk.splitlines(), lineno + 1):
-            if not (line := raw.strip()):
-                continue
-            try:
-                rid, year, authors = parse_line(line)
-                names += _check_record(rid, year, authors)
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from None
-            first = seen.setdefault(rid, lineno)
-            if first != lineno:
-                raise DataError(f"line {lineno}: duplicate record id {rid!r} "
-                                f"(first seen on line {first})")
-            years.append(year)
-            offsets.append(dropped + len(names))
-        if credit is not None:
-            credit(names, np.array(offsets[chunk_start:-1]) - dropped)
-            dropped, names = dropped + len(names), []
-    return Corpus._of_checked(list(seen), years, offsets, None if credit else names)
+    years, sizes, names = array("q"), array("q"), []
+    for lineno, raw in enumerate(lines, lineno + 1):
+        if not (line := raw.strip()):
+            continue
+        try:
+            rid, year, authors = parse_line(line)
+            cleaned = _check_record(rid, year, authors)
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
+        if (first := seen.setdefault(rid, lineno)) != lineno:
+            raise DataError(f"line {lineno}: duplicate record id {rid!r} "
+                            f"(first seen on line {first})")
+        years.append(year)
+        sizes.append(len(cleaned))
+        names += cleaned
+    return np.array(years, np.int64), np.array(sizes, np.int64), names
 
 
 def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
     """Parse a record file into a :class:`Corpus`; empty input yields an empty one.
 
-    Pipe text is checked one chunk of columns at a time, and read again
-    line by line only to name a fault; JSON lines are read line by
-    line. Malformed rows raise :class:`DataError` naming the first
+    Pipe text is checked one chunk of columns at a time, and a chunk
+    with a fault is read line by line to name it; JSON lines are read
+    line by line. Malformed rows raise :class:`DataError` naming the first
     offending line; a duplicated id names both lines involved.
     """
     if fmt not in ("pipe", "jsonl"):
@@ -490,7 +505,7 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
             data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not valid UTF-8: {exc}") from None
-    return _ingest(_line_chunks((data,)), kind, again=lambda: _line_chunks((data,)))
+    return _ingest(_line_chunks((data,)), kind)
 
 
 def _read_file(path, kind: str, method: CountingMethod | None = None):
@@ -501,54 +516,56 @@ def _read_file(path, kind: str, method: CountingMethod | None = None):
     one). Names go into the tally ``_TALLY_NAMES`` at a time and are
     dropped: the records keep no ``names``. Neither the bytes nor the
     text are held whole. A record file that can seek is cut into the
-    byte ranges of :func:`_ranges`, each read by a forked worker
-    (:func:`_work`); this process parses no range, but tallies the names
-    each worker sends and joins their columns in file order. If a range
-    has a fault, or an id repeats across ranges, the file is read again
-    from its start by the per-line loop, crediting nothing, to name the
-    fault as a one-range read would. After a fault the file is decoded
-    to its end, with no parse, so a later bad byte is still the fault
-    named. A file that cannot seek, such as a pipe, has its pipe records
-    read line by line. Every worker is killed and reaped before this
-    returns or raises.
+    byte ranges of :func:`_ranges` and read by :func:`_read_ranges`. If
+    that gives no records, or the file is one range, this process reads
+    the file as one range, which names any fault; after a fault the
+    file is decoded to its end, with no parse, so a later bad byte is
+    still the fault named.
     """
-    tally = None if method is None else Counter()
     with open(path, "rb") as file:
         kind, starts = _ranges(file, kind)
-        workers: list[_Worker] = []
+        if len(starts) > 1 and (read := _read_ranges(path, kind, method, starts)) is not None:
+            return read
+        tally = None if method is None else Counter()
+        credit, flush = _crediting(method, None if tally is None else tally.update)
         texts = _file_texts(file)
-
-        def again() -> Iterator[str]:
-            nonlocal texts
-            _stop(workers)
-            file.seek(0)
-            texts = _file_texts(file)
-            return _line_chunks(texts)
-
         try:
-            try:
-                for start, end in zip(starts, [*starts[1:], None]) if len(starts) > 1 else ():
-                    workers.append(_Worker(path, kind, method, start, end))
-            except OSError:  # no process or pipe to be had: the file is one range
-                _stop(workers)
-            if workers:
-                while waiting := {worker.stream: worker for worker in workers if not worker.done}:
-                    for stream in select.select(list(waiting), [], [])[0]:
-                        waiting[stream].receive(tally)
-                if (loaded := _joined(worker.columns for worker in workers)) is None:
-                    _parse_lines(again(), kind, _credit_nothing)
-                    raise AssertionError("a range of the file was refused with no fault in it")
-                return loaded, tally
-            credit, flush = _crediting(method, None if tally is None else tally.update)
-            loaded = _ingest(_line_chunks(texts), kind, credit, again if file.seekable() else None)
-            flush()
-            return loaded, tally
+            loaded = _ingest(_line_chunks(texts), kind, credit)
         except DataError:
             for _ in texts:  # a bad byte later in the file is the fault named
                 pass
             raise
-        finally:
-            _stop(workers)
+        flush()
+        return loaded, tally
+
+
+def _read_ranges(path, kind: str, method: CountingMethod | None,
+                 starts: list[int]) -> tuple[Corpus, Counter | None] | None:
+    """The records of a file of ``kind``, and their tally, read by a worker per range; or None.
+
+    A worker (:func:`_work`) is forked for each range that starts at
+    ``starts``; this process parses no range, but tallies the names each
+    worker sends and joins their columns in file order. None if a worker
+    or its pipe cannot be made, a range has a fault, a worker dies or an
+    id repeats across ranges. Every worker is killed and reaped before
+    this returns or raises.
+    """
+    tally = None if method is None else Counter()
+    workers: list[_Worker] = []
+    try:
+        try:
+            for start, end in zip(starts, [*starts[1:], None]):
+                workers.append(_Worker(path, kind, method, start, end))
+        except OSError:  # no process or pipe to be had
+            return None
+        while waiting := {worker.stream: worker for worker in workers if not worker.done}:
+            for stream in select.select(list(waiting), [], [])[0]:
+                waiting[stream].receive(tally)
+        loaded = _joined([worker.columns for worker in workers])
+        return None if loaded is None else (loaded, tally)
+    finally:
+        for worker in workers:
+            worker.stop()
 
 
 def _ranges(file, kind: str) -> tuple[str, list[int]]:
@@ -584,10 +601,6 @@ def _ranges(file, kind: str) -> tuple[str, list[int]]:
     return kind, starts
 
 
-def _credit_nothing(slots, starts) -> None:
-    """The credit of a read that tallies no names."""
-
-
 def _crediting(method: CountingMethod | None, take) -> tuple:
     """``credit(slots, starts)`` for a read, and ``flush()`` to call after its last chunk.
 
@@ -596,7 +609,7 @@ def _crediting(method: CountingMethod | None, take) -> tuple:
     no method nothing is credited.
     """
     if method is None:
-        return _credit_nothing, lambda: None
+        return lambda slots, starts: None, lambda: None
     held: list[str] = []
 
     def flush() -> None:
@@ -631,8 +644,7 @@ def _work(path, kind: str, method, start: int, end: int | None, out) -> NoReturn
             credit, flush = _crediting(method, lambda names: _send(
                 out, b"N", "\n".join(names).encode("utf-8", "surrogatepass")))
             try:
-                columns = (_pipe_columns(chunks, credit) if kind == "pipe"
-                           else _parse_lines(chunks, kind, credit))
+                columns = _records(chunks, kind, credit)
             except DataError:
                 columns = None
         if columns is not None:
@@ -650,28 +662,15 @@ def _send(out, tag: bytes, payload: bytes) -> None:
     out.write(payload)
 
 
-def _joined(parts: Iterable[tuple | None]) -> Corpus | None:
+def _joined(parts: list[tuple | None]) -> Corpus | None:
     """The columns of the ranges in file order; None if a range has a fault or an id repeats."""
-    ids, years, sizes = [], [], []
-    seen: set[str] = set()  # each range's own ids are distinct
-    for part in parts:
-        if part is None:
-            return None
-        seen.update(part[0])
-        for column, value in zip((ids, years, sizes), part):
-            column.append(value)
-    if len(seen) != sum(map(len, ids)):
+    if any(part is None for part in parts):
         return None
-    del seen  # before the joined ids are built, for a lower peak
-    ids = list(chain.from_iterable(ids))
+    ids, years, sizes = zip(*parts)  # each range's own ids are distinct
+    if len(set(chain.from_iterable(ids))) != sum(map(len, ids)):
+        return None
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    return Corpus._of_checked(ids, np.concatenate(years), offsets, None)
-
-
-def _stop(workers: list[_Worker]) -> None:
-    """Kill and reap every worker in the list, which is left empty."""
-    while workers:
-        workers.pop().stop()
+    return Corpus._of_checked(list(chain.from_iterable(ids)), np.concatenate(years), offsets, None)
 
 
 class _Worker:
@@ -720,23 +719,13 @@ class _Worker:
         os.waitpid(self.pid, 0)
 
 
-def _ingest(chunks: Iterator[str], kind: str, credit=None, again=None):
-    """The records or table of the chunks, of a checked ``kind``; ``"auto"`` is sniffed.
-
-    Pipe chunks go through the column pass if ``again()`` gives them once
-    more from the start, for the per-line loop to name a fault the pass
-    meets; with no ``again`` the per-line loop reads them in one pass.
-    """
+def _ingest(chunks: Iterator[str], kind: str, credit=None):
+    """The records or table of the chunks, of a checked ``kind``; ``"auto"`` is sniffed."""
     if kind == "auto":
         kind, chunks = _sniff(chunks)
     if kind == "distribution":
         return _table_of(chunks)
-    if kind == "pipe" and again is not None:
-        if (columns := _pipe_columns(chunks, credit)) is not None:
-            return columns
-        _parse_lines(again(), kind, _credit_nothing)  # holds no names
-        raise AssertionError("the column pass refused pipe text with no fault")
-    return _parse_lines(chunks, kind, credit)
+    return _records(chunks, kind, credit)
 
 
 def dump_records(records: Iterable[PublicationRecord]) -> str:

@@ -95,10 +95,11 @@ def ks_report(
                         f"but the largest x is {xs[-1]}")
     observed = dist.ys / dist.total_authors
     observed_cum = np.cumsum(observed)
-    # One scalar expected_proportion per level: numpy's vectorized power
-    # can differ from it in the last bit, which would change printed digits.
+    expected_proportion(n, c, 1)  # checks n and c once: the levels come from a checked table
+    # One scalar power per level: numpy's vectorized power can differ from
+    # it in the last bit, which would change printed digits.
     levels = range(1, int(xs[-1]) + 1) if dense_expected else xs.tolist()
-    expected = np.array([expected_proportion(n, c, x) for x in levels])
+    expected = np.array([c * float(x) ** -n for x in levels])
     expected_cum = np.cumsum(expected)
     if dense_expected:
         expected, expected_cum = expected[xs - 1], expected_cum[xs - 1]

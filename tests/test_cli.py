@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
-from itertools import islice
+from itertools import cycle
 from pathlib import Path
 from unittest import mock
 
@@ -549,7 +549,7 @@ def test_cli_counts_a_record_file_without_its_name_list(capsys, monkeypatch, tmp
 
     def streamed_with_names():
         with open(path, "rb") as file:
-            return corpus._parse_lines(corpus._line_chunks(corpus._file_texts(file)), "jsonl")
+            return corpus._records(corpus._line_chunks(corpus._file_texts(file)), "jsonl")
 
     with_names = {
         "ingest": lambda: count_productivity(streamed_with_names()),
@@ -613,23 +613,23 @@ def test_a_duplicate_id_in_a_later_chunk_names_both_lines(capsys, monkeypatch, t
         f"data error: line 180: duplicate record id 'P{first}' (first seen on line {first + 1})\n"))
 
 
-def test_a_column_pass_that_refuses_a_valid_file_fails_loudly(capsys, monkeypatch, tmp_path):
-    """Should the per-line loop find no fault to name, the tally of the chunks before is never printed."""
+def test_a_chunk_refused_with_no_fault_in_it_is_read_line_by_line(capsys, monkeypatch, tmp_path):
+    """Should the column check refuse a valid chunk, the per-line reader reads it: same output."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     path = tmp_path / "records.psv"
     path.write_bytes("".join(_record_lines("pipe", 200)).encode("utf-8"))
-    columns = corpus._pipe_columns
-
-    def tally_one_chunk(chunks, credit=None):
-        columns(islice(chunks, 1), credit)
-        return None
-
-    monkeypatch.setattr(corpus, "_pipe_columns", tally_one_chunk)
-    for command, *flags in [("ingest",), ("report", "--preset", "paper")]:
-        with pytest.raises(AssertionError, match="refused pipe text with no fault"):
-            main([command, "--input", str(path), *flags])
-        assert capsys.readouterr().out == ""
+    commands = [("ingest",), ("report", "--preset", "paper")]
+    expected = [run(capsys, command[0], "--input", str(path), *command[1:]) for command in commands]
+    assert [code for code, _, _ in expected] == [0, 0]
+    block, refused = corpus._pipe_block, cycle([False, True])  # every second chunk
+    monkeypatch.setattr(corpus, "_pipe_block",
+                        lambda *args: None if next(refused) else block(*args))
+    parse_line = mock.Mock(wraps=corpus._parse_pipe_line)
+    monkeypatch.setattr(corpus, "_parse_pipe_line", parse_line)
+    for command, printed in zip(commands, expected):
+        assert run(capsys, command[0], "--input", str(path), *command[1:]) == printed
+    assert 100 < parse_line.call_count < 400
 
 
 @pytest.mark.parametrize("command", [("ingest",), ("report", "--preset", "paper"), ("pattern",)])
@@ -658,7 +658,7 @@ def test_a_fault_in_the_last_of_many_chunks_is_named(capsys, monkeypatch, tmp_pa
 ])
 def test_a_late_fault_peaks_no_higher_than_the_valid_file(capsys, monkeypatch, tmp_path, command,
                                                            fault, message):
-    """Naming a fault on the last line reads the file again a chunk at a time, never whole.
+    """Naming a fault on the last line reads its chunk line by line; the file is never held whole.
 
     Blocks, chunks and tally shrink as in the tests above. Each of the
     two faults goes with one command: a run takes seconds under tracemalloc.
@@ -682,7 +682,7 @@ def test_a_late_fault_peaks_no_higher_than_the_valid_file(capsys, monkeypatch, t
 @pytest.mark.parametrize("case", ["late-bad-year", "duplicate-id", "jsonl-duplicate-id",
                                   "data-fault-then-bad-byte", "valid"])
 def test_input_that_cannot_seek_reads_as_a_file(capsys, tmp_path, case):
-    """A pipe cannot be read twice: its faults are named in the one pass, as in a file.
+    """A pipe is read once, as a file is: its faults are named in that pass.
 
     The 2 MB inputs span two blocks and many chunks, and the bad byte
     sits in the second block, after the data fault.

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import signal
 import sys
 import time
 import tracemalloc
@@ -382,7 +383,7 @@ def test_parse_builds_no_record_objects(monkeypatch):
 
 
 def test_valid_pipe_text_makes_no_call_per_line(monkeypatch):
-    """Pipe columns are checked a chunk at a time; the per-line parser only names a fault."""
+    """Pipe columns are checked a chunk at a time; the per-line parser reads only a faulty chunk."""
     calls = []
     parse_line = corpus._parse_pipe_line
     monkeypatch.setattr(corpus, "_parse_pipe_line",
@@ -394,7 +395,8 @@ def test_valid_pipe_text_makes_no_call_per_line(monkeypatch):
     lines[699] = "P699|19x9|Author 1\n"
     with pytest.raises(DataError, match=r"^line 700: year '19x9' is not an integer$"):
         parse_records("".join(lines))
-    assert len(calls) == 700  # the counter does count
+    # the counter does count: the faulty chunk's lines, up to the fault
+    assert calls == [line.strip() for line in lines[686:700]]
 
 
 @pytest.mark.parametrize("faulty, message", [
@@ -404,7 +406,7 @@ def test_valid_pipe_text_makes_no_call_per_line(monkeypatch):
     ("P1|2000| ; ", "record 'P1' has no authors"),
 ])
 def test_a_pipe_fault_ends_the_column_pass_in_its_chunk(monkeypatch, faulty, message):
-    """A faulty file costs at most one chunk of column work before the per-line loop."""
+    """The chunk that the column check refuses is read line by line before the next is read."""
     searches = []
     line_end = corpus._LINE_END
 
@@ -420,12 +422,12 @@ def test_a_pipe_fault_ends_the_column_pass_in_its_chunk(monkeypatch, faulty, mes
     searches.clear()
     lines[1] = faulty
     parse_line = corpus._parse_pipe_line
-    before_lines = []  # searches made when the per-line loop parses its first line
+    before_lines = []  # searches made when the per-line reader parses its first line
     monkeypatch.setattr(corpus, "_parse_pipe_line", lambda line: (
         before_lines.append(len(searches)), parse_line(line))[1])
     with pytest.raises(DataError, match=f"^line 2: {re.escape(message)}$"):
         parse_records("\n".join(lines))
-    assert before_lines[0] == 2  # the column pass's one chunk, then the per-line loop's first
+    assert before_lines[0] == 1  # the one chunk, checked by columns, then read line by line
 
 
 def test_pipe_chunks_end_at_every_line_end(monkeypatch):
@@ -507,7 +509,8 @@ def _pipe_texts(draw):
 def test_pipe_columns_match_the_per_line_loop(text, chunk_chars):
     with mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars):
         columns = _load_outcome(lambda: parse_records(text, "pipe"))
-    assert columns == _load_outcome(lambda: corpus._parse_lines(corpus._line_chunks((text,)), "pipe"))
+        with mock.patch.object(corpus, "_pipe_block", return_value=None):  # every chunk refused
+            assert columns == _load_outcome(lambda: parse_records(text, "pipe"))
 
 
 def test_consumers_agree_on_a_corpus_and_its_records():
@@ -612,7 +615,7 @@ def test_records_counted_as_they_are_read_keep_no_names(monkeypatch, tmp_path, f
 
 
 def test_naming_a_pipe_fault_credits_no_name_twice(monkeypatch, tmp_path):
-    """The second pass that names the fault credits nothing: the tally is dropped anyway."""
+    """Each chunk is credited once, as it is read: the chunk that names the fault credits nothing."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     path = tmp_path / "records.psv"
@@ -816,9 +819,8 @@ def test_the_parent_parses_no_range_of_a_split_file(monkeypatch, tmp_path, fmt):
     """Every range goes to a worker: the parent only tallies and joins."""
     monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    spies = {name: mock.Mock(wraps=getattr(corpus, name)) for name in ("_pipe_columns", "_parse_lines")}
-    for name, spy in spies.items():
-        monkeypatch.setattr(corpus, name, spy)
+    spy = mock.Mock(wraps=corpus._records)
+    monkeypatch.setattr(corpus, "_records", spy)
     records = [PublicationRecord(f"P{i}", 2000, (f"Author {i}", f"Author {i % 7}")) for i in range(300)]
     path = tmp_path / "records.txt"
     path.write_text(dump_records(records) if fmt == "jsonl" else "".join(
@@ -826,7 +828,58 @@ def test_the_parent_parses_no_range_of_a_split_file(monkeypatch, tmp_path, fmt):
     loaded, tally = corpus._read_file(path, fmt, CountingMethod.COMPLETE)
     assert loaded.ids == [rec.id for rec in records]
     assert tally == Counter(_credited_names(Corpus(records), CountingMethod.COMPLETE))
-    assert not any(spy.called for spy in spies.values())
+    assert not spy.called
+
+
+def test_a_worker_that_dies_leaves_the_file_to_be_read_as_one_range(monkeypatch, tmp_path):
+    """A worker killed mid-read, say for memory, costs a one-range read, not the records."""
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
+    monkeypatch.setattr(corpus, "_TALLY_NAMES", 8)
+    path = tmp_path / "records.psv"
+    path.write_text("".join(f"P{i}|2000|Author {i}; Author {i % 7}\n" for i in range(300)),
+                    encoding="utf-8")
+    expected = _file_outcome(path, "pipe", CountingMethod.COMPLETE)
+    monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    work, send = corpus._work, corpus._send
+
+    def send_then_die(*message):
+        send(*message)
+        message[0].flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def work_then_die(path, kind, method, start, end, out):
+        if start:  # in the second worker only: it sends one batch of names, then is killed
+            corpus._send = send_then_die
+        work(path, kind, method, start, end, out)
+
+    monkeypatch.setattr(corpus, "_work", work_then_die)
+    forked = mock.Mock(wraps=corpus._Worker)
+    monkeypatch.setattr(corpus, "_Worker", forked)
+    assert _file_outcome(path, "pipe", CountingMethod.COMPLETE) == expected
+    assert forked.call_count == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pipe_input_that_cannot_seek_is_checked_by_columns(monkeypatch):
+    """A pipe is read once, as a file that can seek is: no Python call per valid line."""
+    calls = []
+    parse_line = corpus._parse_pipe_line
+    monkeypatch.setattr(corpus, "_parse_pipe_line",
+                        lambda line: (calls.append(line), parse_line(line))[1])
+    text = "".join(f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i % 13}\n" for i in range(200))
+    read, write = os.pipe()
+    with open(read, "rb") as source:
+        with open(write, "wb") as sink:
+            sink.write(text.encode("utf-8"))
+        loaded, tally = corpus._read_file(f"/dev/fd/{source.fileno()}", "pipe",
+                                          CountingMethod.COMPLETE)
+    whole = parse_records(text)
+    assert (loaded.ids, loaded.years.tolist(), loaded.offsets.tolist()) \
+        == (whole.ids, whole.years.tolist(), whole.offsets.tolist())
+    assert tally == Counter(whole.names) and calls == []
 
 
 # ---------------------------------------------------------------------------
