@@ -17,19 +17,20 @@ Two record formats are supported:
     output reproduces the original records exactly.
 
 :func:`parse_records` returns the records as the columns of a
-:class:`Corpus`. Text is parsed in chunks of whole lines (about 2^18
-characters each), and the command line reads a file the same way and
-counts the names as it reads, so it holds neither the whole bytes or
-text nor the name list. Pipe chunks are checked a column at a time, with
-no Python call per line; a chunk that check refuses, and every JSON
-chunk, is read line by line, which names the first fault in that pass.
-A record file that the command line reads, if it can seek, is cut after
-newlines into one byte range per CPU, each of at least 2^21 bytes (a
-smaller file is one range). A worker forked for each range, the first
-included, sends back the names it credits and its columns; the calling
-process parses no range, and only tallies and joins. A fault in any
-range, an id repeated across ranges or a worker that dies sends the
-file through the one-range read, which names any fault.
+:class:`Corpus`. Bytes are decoded 2^20 at a time and text is parsed in
+chunks of whole lines (about 2^18 characters each), as the command line
+reads a file, counting its names as it reads: no read holds a decoded
+copy of its whole input, nor the command line a name list. Pipe chunks
+are checked a column at a time, with no Python call per line; a chunk
+that check refuses, and every JSON chunk, is read line by line, which
+names the first fault in that pass. A record file that the command line
+reads, if it can seek, is cut after newlines into one byte range per
+CPU, each of at least 2^21 bytes (a smaller file is one range). A
+worker forked for each range, the first included, sends back the names
+it credits and its columns; the calling process parses no range, and
+only tallies and joins. A fault in any range, an id repeated across
+ranges or a worker that dies sends the file through the one-range
+read, which names any fault.
 Every record, parsed or built by hand, cleans its names:
 :func:`normalize_author` collapses runs of whitespace and empty name
 slots are dropped, so the same names count as one author either way.
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import codecs
 import gc
+import io
 import json
 import os
 import pickle
@@ -309,10 +311,10 @@ def _file_texts(file, end: int | None = None) -> Iterator[str]:
     """Text of an open binary UTF-8 file, ``_BLOCK_BYTES`` at a time, with no BOM at byte 0.
 
     The text runs from the file's position to byte ``end``, or to the
-    end of the file. A bad byte raises what :func:`read_input` raises for
-    the whole file, its position counted after the BOM. The BOM is
-    stripped here, as a ``utf-8-sig`` decoder takes a file of part of a
-    BOM for empty.
+    end of the file. A bad byte raises the text that ``bytes.decode``
+    with ``utf-8-sig`` gives, its position counted after the BOM. The
+    BOM is stripped here, as an incremental ``utf-8-sig`` decoder takes
+    a file of part of a BOM for empty.
     """
     decoder, done = codecs.getincrementaldecoder("utf-8")(), 0  # bytes decoded after the BOM
     read = file.read if end is None else lambda size: file.read(min(size, end - file.tell()))
@@ -495,17 +497,29 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     ``kind`` is ``"pipe"``, ``"jsonl"``, ``"distribution"`` or ``"auto"``.
     Auto reads the first line that is not blank: ``{`` starts JSON
     lines, a ``|`` marks pipe records, and ``x,y`` or two integers
-    start a table; anything else raises :class:`DataError`.
+    start a table; anything else raises :class:`DataError`. Bytes, UTF-8
+    with or without a BOM, are decoded a block at a time, as a file is.
     """
     if kind not in ("auto", "pipe", "jsonl", "distribution"):
         raise DataError(f"unknown record format {kind!r} "
                         "(expected 'auto', 'pipe', 'jsonl' or 'distribution')")
-    if isinstance(data, (bytes, bytearray)):
-        try:  # drops the bytes before the parse, if the caller passed the only reference
-            data = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input is not valid UTF-8: {exc}") from None
-    return _ingest(_line_chunks((data,)), kind)
+    texts = _file_texts(io.BytesIO(data)) if isinstance(data, (bytes, bytearray)) else (data,)
+    return _read_texts(texts, kind)
+
+
+def _read_texts(texts: Iterable[str], kind: str, credit=None):
+    """The records or table of the texts, of a checked ``kind``; ``"auto"`` is sniffed."""
+    chunks = _line_chunks(texts)
+    try:
+        if kind == "auto":
+            kind, chunks = _sniff(chunks)
+        if kind == "distribution":
+            return _table_of(chunks)
+        return _records(chunks, kind, credit)
+    except DataError:
+        for _ in texts:  # read to the end with no parse: a later bad byte is the fault named
+            pass
+        raise
 
 
 def _read_file(path, kind: str, method: CountingMethod | None = None):
@@ -518,9 +532,7 @@ def _read_file(path, kind: str, method: CountingMethod | None = None):
     text are held whole. A record file that can seek is cut into the
     byte ranges of :func:`_ranges` and read by :func:`_read_ranges`. If
     that gives no records, or the file is one range, this process reads
-    the file as one range, which names any fault; after a fault the
-    file is decoded to its end, with no parse, so a later bad byte is
-    still the fault named.
+    the file as one range, which names any fault as ``read_input`` does.
     """
     with open(path, "rb") as file:
         kind, starts = _ranges(file, kind)
@@ -528,13 +540,7 @@ def _read_file(path, kind: str, method: CountingMethod | None = None):
             return read
         tally = None if method is None else Counter()
         credit, flush = _crediting(method, None if tally is None else tally.update)
-        texts = _file_texts(file)
-        try:
-            loaded = _ingest(_line_chunks(texts), kind, credit)
-        except DataError:
-            for _ in texts:  # a bad byte later in the file is the fault named
-                pass
-            raise
+        loaded = _read_texts(_file_texts(file), kind, credit)
         flush()
         return loaded, tally
 
@@ -717,15 +723,6 @@ class _Worker:
         self.stream.close()
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
-
-
-def _ingest(chunks: Iterator[str], kind: str, credit=None):
-    """The records or table of the chunks, of a checked ``kind``; ``"auto"`` is sniffed."""
-    if kind == "auto":
-        kind, chunks = _sniff(chunks)
-    if kind == "distribution":
-        return _table_of(chunks)
-    return _records(chunks, kind, credit)
 
 
 def dump_records(records: Iterable[PublicationRecord]) -> str:

@@ -525,7 +525,7 @@ def test_cli_streams_a_record_file_it_never_holds_whole(capsys, monkeypatch, tmp
     path.write_text(dump_records(records), encoding="utf-8")
     text_size = sys.getsizeof(path.read_text(encoding="utf-8"))
     peaks = _peaks(lambda: main(["ingest", "--input", str(path)]),
-                   lambda: read_input(path.read_bytes(), "jsonl"))
+                   lambda: read_input(path.read_text(encoding="utf-8"), "jsonl"))
     assert capsys.readouterr().out.startswith("x,y\n")
     assert peaks[1] - peaks[0] >= 0.8 * text_size, (peaks, text_size)
 

@@ -199,26 +199,28 @@ def test_read_input_names_every_kind():
         read_input(b"P1|2005|A\n", "bogus")
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 keeps call arguments on the caller's stack")
-def test_read_input_frees_bytes_it_holds_the_only_reference_to():
-    text = "".join(f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i}\n" for i in range(20_000))
-    size = len(text.encode("utf-8"))
+def test_a_bytes_read_holds_no_whole_decoded_text(monkeypatch):
+    """Bytes are decoded a block at a time: their read peaks no higher than that of their text.
+
+    The blocks and chunks shrink to 2^14, a small part of the 20,000
+    records, as 2^20 is of a real bibliography; the text, with a
+    non-ASCII name in each line, takes two bytes a character.
+    """
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 14)
+    text = "".join(f"P{i}|{1990 + i % 30}|Author {i % 97}; \u0141uk {i}\n" for i in range(20_000))
+    data = text.encode("utf-8")
     peaks = []
-    for held in (True, False):
+    for source in (data, text):
         tracemalloc.start()
-        try:  # no call inside an assert: pytest's rewrite would keep its arguments alive
-            if held:
-                data = text.encode("utf-8")
-                corpus = read_input(data, "pipe")
-                del data
-            else:  # the bytes live only in read_input's frame, which drops them once decoded
-                corpus = read_input(text.encode("utf-8"), "pipe")
+        try:  # no call inside an assert: pytest's rewrite would keep its result alive
+            loaded = read_input(source, "pipe")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert len(corpus) == 20_000
-        del corpus
-    assert peaks[0] - peaks[1] > 0.8 * size, (peaks, size)
+        assert len(loaded) == 20_000
+        del loaded
+    assert peaks[0] <= peaks[1] + 8 * corpus._BLOCK_BYTES, (peaks, sys.getsizeof(text))
 
 
 def test_read_input_rejects_empty_and_unknown_layouts():
@@ -669,6 +671,15 @@ def _counted_outcome(load, method):
     return loaded.ids, loaded.years.tolist(), loaded.offsets.tolist(), tally
 
 
+def _decoded_outcome(data: bytes, kind, method):
+    """The outcome of a read of ``data`` decoded whole: its UTF-8 fault, else that of its text."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        return f"input is not valid UTF-8: {exc}"
+    return _counted_outcome(lambda: read_input(text, kind), method)
+
+
 def _file_outcome(path, kind, method):
     """``_read_file``'s columns and tally, or the text of the DataError it raises."""
     try:
@@ -692,13 +703,14 @@ def test_a_file_read_in_chunks_parses_as_its_whole_text(tmp_path_factory, case, 
         bad_byte %= len(data) + 1
         data = data[:bad_byte] + b"\xff" + data[bad_byte:]
     kind = "auto" if sniff else fmt
-    expected = _counted_outcome(lambda: read_input(data, kind), method)
+    expected = _decoded_outcome(data, kind, method)
     path = tmp_path_factory.getbasetemp() / "records_in_chunks"
     path.write_bytes(data)
     with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars), \
-            mock.patch.object(corpus, "read_input", wraps=corpus.read_input) as whole_file:
-        assert _file_outcome(path, kind, method) == expected
+            mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars):
+        assert _counted_outcome(lambda: read_input(data, kind), method) == expected
+        with mock.patch.object(corpus, "read_input", wraps=corpus.read_input) as whole_file:
+            assert _file_outcome(path, kind, method) == expected
     # every fault is named in the stream, with no whole-file read
     assert not whole_file.called
 
@@ -708,8 +720,9 @@ def test_a_file_of_part_of_a_byte_order_mark_is_not_valid_utf8(tmp_path, data):
     """Part of a BOM is no BOM: an incremental utf-8-sig decoder reads a file of only that as empty."""
     path = tmp_path / "records.psv"
     path.write_bytes(data)
-    expected = _load_outcome(lambda: read_input(data))
+    expected = _decoded_outcome(data, "auto", None)
     assert expected.startswith("input is not valid UTF-8: ")
+    assert _load_outcome(lambda: read_input(data)) == expected
     assert _file_outcome(path, "auto", None) == expected
 
 
