@@ -29,8 +29,9 @@ CPU, each of at least 2^21 bytes (a smaller file is one range). A
 worker forked for each range, the first included, sends back the names
 it credits and its columns; the calling process parses no range, and
 only tallies and joins. A fault in any range, an id repeated across
-ranges or a worker that dies sends the file through the one-range
-read, which names any fault.
+ranges, a worker that dies or a fork that warns (as Python 3.12+ does
+in a process with threads) sends the file through the one-range read,
+which names any fault.
 Every record, parsed or built by hand, cleans its names:
 :func:`normalize_author` collapses runs of whitespace and empty name
 slots are dropped, so the same names count as one author either way.
@@ -53,6 +54,7 @@ import re
 import select
 import signal
 import struct
+import warnings
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -552,9 +554,9 @@ def _read_ranges(path, kind: str, method: CountingMethod | None,
     A worker (:func:`_work`) is forked for each range that starts at
     ``starts``; this process parses no range, but tallies the names each
     worker sends and joins their columns in file order. None if a worker
-    or its pipe cannot be made, a range has a fault, a worker dies or an
-    id repeats across ranges. Every worker is killed and reaped before
-    this returns or raises.
+    or its pipe cannot be made, a fork warns, a range has a fault, a
+    worker dies or an id repeats across ranges. Every worker is killed
+    and reaped before this returns or raises.
     """
     tally = None if method is None else Counter()
     workers: list[_Worker] = []
@@ -562,6 +564,8 @@ def _read_ranges(path, kind: str, method: CountingMethod | None,
         try:
             for start, end in zip(starts, [*starts[1:], None]):
                 workers.append(_Worker(path, kind, method, start, end))
+                if workers[-1].warned:  # the worker may deadlock: read as one range
+                    return None
         except OSError:  # no process or pipe to be had
             return None
         while waiting := {worker.stream: worker for worker in workers if not worker.done}:
@@ -692,8 +696,10 @@ class _Worker:
         read, write = os.pipe()
         with open(write, "wb") as out:
             self.stream = open(read, "rb")
-            try:
-                self.pid = os.fork()
+            try:  # Python 3.12+ warns in the parent when it forks a process with threads
+                with warnings.catch_warnings(record=True) as self.warned:
+                    warnings.simplefilter("always")
+                    self.pid = os.fork()
             except OSError:
                 self.stream.close()
                 raise

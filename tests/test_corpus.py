@@ -8,6 +8,7 @@ import signal
 import sys
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -874,6 +875,36 @@ def test_a_worker_that_dies_leaves_the_file_to_be_read_as_one_range(monkeypatch,
     assert forked.call_count == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_fork_that_warns_leaves_the_file_to_be_read_as_one_range(monkeypatch, tmp_path, capfd):
+    """Python 3.12+ warns in the parent once it has forked a process with threads.
+
+    Every warning is an error here, as under ``python -W error``: raised
+    out of ``os.fork``, it would lose the worker's pid and pipe. The
+    worker is stopped and reaped, and the file read as one range.
+    """
+    path = tmp_path / "records.psv"
+    path.write_text("".join(f"P{i}|2000|Author {i}; Author {i % 7}\n" for i in range(300)),
+                    encoding="utf-8")
+    expected = _file_outcome(path, "pipe", CountingMethod.COMPLETE)
+    monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fork = os.fork
+
+    def fork_then_warn():
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks "
+                          "in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_warn)
+    forked = mock.Mock(wraps=corpus._Worker)
+    monkeypatch.setattr(corpus, "_Worker", forked)
+    assert _file_outcome(path, "pipe", CountingMethod.COMPLETE) == expected
+    assert forked.call_count == 1
+    assert capfd.readouterr() == ("", "")
 
 
 def test_pipe_input_that_cannot_seek_is_checked_by_columns(monkeypatch):
