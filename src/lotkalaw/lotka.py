@@ -152,13 +152,19 @@ def fit_power_law(
     The default of 2 mirrors the table-lookup workflow of the published
     analyses this package reproduces: the constant is read off at the
     two-decimal exponent while expected proportions keep the
-    full-precision slope.
+    full-precision slope. A ``limit`` below the table's largest x raises
+    :class:`DataError`: the law truncated there leaves no share for the
+    levels above it, which the K-S table would still give one.
     """
     if constant_digits is not None:
         _require_int("constant_digits", constant_digits, 0)
     fit = fit_exponent_lsq(dist, max_x=max_x)
     n_for_c = round(fit.n, constant_digits) if constant_digits is not None else fit.n
-    return replace(fit, c=compute_constant(n_for_c, limit))
+    c = compute_constant(n_for_c, limit)
+    if limit is not None and limit < dist.xs[-1]:
+        raise DataError(f"sum limit {limit} is below the largest x of the table, {dist.xs[-1]}: "
+                        f"the law truncated at {limit} gives the levels above it no share")
+    return replace(fit, c=c)
 
 
 def expected_proportion(n: float, c: float, x: int) -> float:

@@ -189,6 +189,18 @@ def test_ks_synthetic_table_conforms(capsys, tmp_path):
     assert values["conforms_cumulative"] == "true"
 
 
+@pytest.mark.parametrize("command", ["fit", "ks", "report"])
+def test_a_sum_limit_below_the_largest_x_exits_2(capsys, command):
+    """``sum:1`` on the CAD table would give expected_cum 1.17 at x=2; ``sum:114`` is its largest x."""
+    preset = () if command == "fit" else ("--preset", "paper")
+    assert run(capsys, command, "--input", CAD, *preset, "--c-method", "sum:1") == (
+        2, "", "data error: sum limit 1 is below the largest x of the table, 114: "
+               "the law truncated at 1 gives the levels above it no share\n")
+    code, out, err = run(capsys, command, "--input", CAD, *preset, "--c-method", "sum:114")
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_ks_json_document(capsys):
     code, out, _ = run(capsys, "ks", "--input", CAD, "--preset", "paper",
                        "--format", "json")

@@ -240,6 +240,21 @@ def test_constant_limit_alone_picks_the_evaluation(cad_distribution):
     assert fit.c != compute_constant(fit.n)
 
 
+def test_a_sum_limit_below_the_largest_x_is_refused(cad_distribution):
+    """The law truncated at the limit leaves no share for a level above it."""
+    assert cad_distribution.xs[-1] == 114
+    for limit in (1, 113):
+        with pytest.raises(DataError, match=rf"^sum limit {limit} is below the largest x "
+                                            r"of the table, 114: "):
+            fit_power_law(cad_distribution, limit=limit)
+    with pytest.raises(DataError, match="sum limit 4 is below the largest x of the table, 114"):
+        fit_power_law(cad_distribution, limit=np.int64(4), max_x=10)  # the K-S table keeps x > 10
+    fit = fit_power_law(cad_distribution, limit=114)
+    assert fit.c == compute_constant(2.54, 114)
+    # the expected shares of the observed levels then sum to at most 1
+    assert fit.c * float((cad_distribution.xs.astype(float) ** -fit.n).sum()) <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # combined fit
 
