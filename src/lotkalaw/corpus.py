@@ -313,10 +313,10 @@ def _file_texts(file, end: int | None = None) -> Iterator[str]:
     """Text of an open binary UTF-8 file, ``_BLOCK_BYTES`` at a time, with no BOM at byte 0.
 
     The text runs from the file's position to byte ``end``, or to the
-    end of the file. A bad byte raises the text that ``bytes.decode``
-    with ``utf-8-sig`` gives, its position counted after the BOM. The
-    BOM is stripped here, as an incremental ``utf-8-sig`` decoder takes
-    a file of part of a BOM for empty.
+    end of the file. A bad byte raises :class:`DataError` with the error
+    text of ``bytes.decode("utf-8-sig")``, its position counted after the
+    BOM. The BOM is stripped here, as an incremental ``utf-8-sig``
+    decoder takes a file of part of a BOM for empty.
     """
     decoder, done = codecs.getincrementaldecoder("utf-8")(), 0  # bytes decoded after the BOM
     read = file.read if end is None else lambda size: file.read(min(size, end - file.tell()))
