@@ -8,7 +8,8 @@ Two record formats are supported:
         P1|2005|Smith J; Jones K
 
     Column 1 is an opaque non-empty identifier, column 2 a positive
-    integer year, column 3 the ordered author list separated by ``;``.
+    integer year in ASCII digits, column 3 the ordered author list
+    separated by ``;``.
 
 ``jsonl``
     One JSON object per line with keys ``id`` (non-empty string),
@@ -17,13 +18,13 @@ Two record formats are supported:
     output reproduces the original records exactly.
 
 :func:`parse_records` returns the records as the columns of a
-:class:`Corpus`. Bytes are decoded 2^20 at a time and text is parsed in
-chunks of whole lines (about 2^18 characters each), as the command line
-reads a file, counting its names as it reads: no read holds a decoded
-copy of its whole input, nor the command line a name list. Pipe chunks
-are checked a column at a time, with no Python call per line; a chunk
-that check refuses, and every JSON chunk, is read line by line, which
-names the first fault in that pass. A record file that the command line
+:class:`Corpus`. Input is read in blocks of 2^18 bytes (or characters,
+of text), each split into lines once, as the command line reads a file,
+counting its names as it reads: no read holds a decoded copy of its
+whole input, nor the command line a name list. A pipe block is checked
+a column at a time, with no Python call per line; a block that check
+refuses, and every JSON block, is read line by line, which names the
+first fault in that pass. A record file that the command line
 reads, if it can seek, is cut after newlines into one byte range per
 CPU, each of at least 2^21 bytes (a smaller file is one range). A
 worker forked for each range, the first included, sends back the names
@@ -61,8 +62,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring as _json_string
+from operator import itemgetter
 from typing import NoReturn
 
 import numpy as np
@@ -157,19 +159,20 @@ class Corpus(Sequence):
         ids = [rec.id for rec in records]
         if len(set(ids)) != len(ids):
             raise DataError(f"duplicate record id {Counter(ids).most_common(1)[0][0]!r}")
-        self._set_columns(ids, [rec.year for rec in records],
-                          [0, *accumulate(len(rec.authors) for rec in records)],
+        self._set_columns(ids, np.array([rec.year for rec in records], np.int64),
+                          np.array([len(rec.authors) for rec in records], np.int64),
                           list(chain.from_iterable(rec.authors for rec in records)))
 
     @classmethod
-    def _of_checked(cls, ids: list[str], years, offsets, names: list[str] | None) -> "Corpus":
+    def _of_checked(cls, ids: list[str], years, counts, names: list[str] | None) -> "Corpus":
         """A Corpus of columns whose records were checked as they were read."""
         corpus = cls.__new__(cls)
-        corpus._set_columns(ids, years, offsets, names)
+        corpus._set_columns(ids, years, counts, names)
         return corpus
 
-    def _set_columns(self, ids: list[str], years, offsets, names: list[str] | None) -> None:
-        years, offsets = np.array(years, np.int64), np.array(offsets, np.int64)
+    def _set_columns(self, ids: list[str], years, counts, names: list[str] | None) -> None:
+        """Keep the columns; ``years`` and ``counts`` (each record's authors) are unshared int64 arrays."""
+        offsets = np.concatenate(([0], np.cumsum(counts)))
         years.flags.writeable = offsets.flags.writeable = False
         self.ids, self.years, self.offsets = ids, years, offsets
         if names is not None:  # None: the names were counted as they were read, then dropped
@@ -273,40 +276,36 @@ class ProductivityDistribution:
 # ---------------------------------------------------------------------------
 # record parsing
 
-_BLOCK_BYTES = 1 << 20  # a record file is read this many bytes at a time
-_CHUNK_CHARS = 1 << 18  # text is parsed about this many characters at a time
+_BLOCK_BYTES = 1 << 18  # the bytes of a file, or characters of text, read at a time
 _SPLIT_BYTES = 1 << 21  # the fewest bytes in each range of a record file read by several processes
-_TALLY_NAMES = 1 << 17  # credited names held between tallies: one tally a chunk ran 10% slower
+_TALLY_NAMES = 1 << 17  # credited names held between tallies: one tally a block ran 10% slower
 _FRAME = struct.Struct("<cQ")  # the head of a worker's message: its kind, then its length in bytes
-# where splitlines() ends a line; a CR LF is one match, so no chunk ends between the two
-_LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
-def _line_chunks(pieces: Iterable[str]) -> Iterator[str]:
-    """The text of ``pieces``, in chunks that each end at a line boundary.
+def _line_blocks(texts: Iterable[str]) -> Iterator[list[str]]:
+    """The lines of the texts, ``splitlines(keepends=True)``, a list for each text that ends one.
 
-    A chunk runs to the first line end at or after ``_CHUNK_CHARS``
-    characters, so ``splitlines()`` over the chunks gives the lines of
-    the whole text. A line end that closes the text read so far waits
-    for the next piece, which may hold the LF of a CR LF. Each piece is
-    searched once, with the held character before it, and held pieces
-    are joined once a chunk ends in them: a long line costs linear time.
+    Each text is split once. Its last line waits for the next text if it
+    has no line end, or ends in a CR that the next may follow with an LF.
+    A line that runs on through texts is held as its pieces and joined
+    once, so a long line costs linear time.
     """
-    held, size = [], 0  # the pieces read since the last chunk ended, and their length
-    for piece in filter(None, pieces):
-        probe = held[-1][-1:] + piece if held else piece
-        searched, size = size + len(piece) - len(probe), size + len(piece)  # probe starts there
-        held.append(piece)
-        cut = _LINE_END.search(probe, max(_CHUNK_CHARS - searched, 0))
-        if (end := searched + cut.end() if cut else size) < size:
-            text, start = "".join(held), 0
-            while end < size:
-                yield text[start:end]
-                cut = _LINE_END.search(text, end + _CHUNK_CHARS)
-                start, end = end, cut.end() if cut else size
-            held, size = [text[start:]], size - start
+    held: list[str] = []  # the pieces of the line that waits
+    for text in filter(None, texts):
+        lines = text.splitlines(True)
+        if held and held[-1].endswith("\r") and lines[0] != "\n":  # no LF follows: the CR ends a line
+            lines.insert(0, "".join(held))
+        elif len(lines) == 1 and lines[0].splitlines() == lines:  # no line end: the line runs on
+            held.append(text)
+            continue
+        elif held:
+            lines[0] = "".join(held) + lines[0]
+        last = lines[-1]
+        held = [lines.pop()] if last.endswith("\r") or last.splitlines() == [last] else []
+        if lines:
+            yield lines
     if held:
-        yield "".join(held)
+        yield ["".join(held)]
 
 
 def _file_texts(file, end: int | None = None) -> Iterator[str]:
@@ -335,11 +334,11 @@ def _file_texts(file, end: int | None = None) -> Iterator[str]:
         yield text
 
 
-def _content_lines(chunks: Iterable[str]):
-    """``(line number from 1, stripped line)`` for each line of the chunks that is not blank."""
-    for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, chunks)), start=1):
-        if line := raw.strip():
-            yield lineno, line
+def _integer(field: str) -> int:
+    """``int(field)``, but ``ValueError`` for the ``_`` and non-ASCII digits that int() also takes."""
+    if "_" in field or not field.strip().isascii():
+        raise ValueError(field)
+    return int(field)
 
 
 def _parse_pipe_line(line: str) -> tuple:
@@ -347,7 +346,7 @@ def _parse_pipe_line(line: str) -> tuple:
     if len(parts) != 3:
         raise DataError(f"expected 3 '|'-separated columns (id|year|authors), got {len(parts)}")
     try:
-        year = int(parts[1])  # int() ignores the surrounding whitespace itself
+        year = _integer(parts[1])
     except ValueError:
         raise DataError(f"year {parts[1].strip()!r} is not an integer") from None
     return parts[0].strip(), year, parts[2].split(";")
@@ -369,34 +368,33 @@ def _parse_jsonl_line(line: str) -> tuple:
     return obj["id"], obj["year"], authors
 
 
-def _records(chunks: Iterable[str], fmt: str, credit=None) -> Corpus:
-    """The records of the chunks, each chunk read in the one pass that names its first fault.
+def _records(blocks: Iterable[list[str]], fmt: str, credit=None) -> Corpus:
+    """The records of the blocks of lines, each read in the one pass that names its first fault.
 
-    A pipe chunk goes through the column check; any other chunk, or one
+    A pipe block goes through the column check; any other block, or one
     it refuses, through the per-line reader. Given ``credit``, each
-    chunk's cleaned slots and record starts go to it and are dropped.
+    block's cleaned slots and record starts go to it and are dropped.
     """
     seen: dict[str, int] = {}  # id -> line, in record order: the ids column
     years, sizes, names = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
-    lineno = 0  # the lines of the chunks before
-    for chunk in chunks:
-        lines = chunk.splitlines()
-        chunk_years, counts, slots = (fmt == "pipe" and _pipe_block(lines, lineno, seen)
+    lineno = 0  # the lines of the blocks before
+    for lines in blocks:
+        block_years, counts, slots = (fmt == "pipe" and _pipe_block(lines, lineno, seen)
                                       or _line_block(lines, lineno, fmt, seen))
         lineno += len(lines)
-        years.append(chunk_years)
+        years.append(block_years)
         sizes.append(counts)
         if credit is None:
             names += slots
         else:
             credit(slots, np.cumsum(counts) - counts)
-        del lines, slots  # before the next chunk is read
-    offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    return Corpus._of_checked(list(seen), np.concatenate(years), offsets, None if credit else names)
+        del lines, slots  # before the next block is read
+    return Corpus._of_checked(list(seen), np.concatenate(years), np.concatenate(sizes),
+                              None if credit else names)
 
 
 def _pipe_block(lines: list[str], lineno: int, seen: dict[str, int]) -> tuple | None:
-    """The years, author counts and cleaned slots of a chunk's pipe lines, or None at a fault.
+    """The years, author counts and cleaned slots of a block's pipe lines, or None at a fault.
 
     The lines are checked a column at a time, with no Python call per
     line, and each id goes into ``seen`` with its line number, counted on
@@ -410,6 +408,7 @@ def _pipe_block(lines: list[str], lineno: int, seen: dict[str, int]) -> tuple | 
         return None
     fields = "|".join(stripped).split("|")
     ids = list(map(str.strip, fields[0::3]))
+    digits = "".join("".join(fields[1::3]).split())  # the years, their whitespace taken out
     try:
         years = np.array(list(map(int, fields[1::3])), np.int64)
     except (ValueError, OverflowError):  # not an integer, or beyond 64 bits
@@ -423,18 +422,18 @@ def _pipe_block(lines: list[str], lineno: int, seen: dict[str, int]) -> tuple | 
         slots = list(filter(None, slots))
     lines_of = dict(zip(ids, numbers))
     if ("" in lines_of or len(lines_of) != len(ids) or not seen.keys().isdisjoint(lines_of)
-            or years.min() <= 0 or not counts.all()):
+            or years.min() <= 0 or not counts.all() or "_" in digits or not digits.isascii()):
         return None
     seen.update(lines_of)
     return years, counts, slots
 
 
 def _line_block(lines: list[str], lineno: int, fmt: str, seen: dict[str, int]) -> tuple:
-    """The years, author counts and cleaned names of a chunk's lines, parsed one at a time.
+    """The years, author counts and cleaned names of a block's lines, parsed one at a time.
 
     Lines are numbered on from ``lineno`` and each id goes into ``seen``;
     the first fault raises :class:`DataError` naming its line, and a
-    repeated id the line it was first seen on, in this chunk or before.
+    repeated id the line it was first seen on, in this block or before.
     """
     parse_line = _parse_pipe_line if fmt == "pipe" else _parse_jsonl_line
     years, sizes, names = array("q"), array("q"), []
@@ -458,7 +457,7 @@ def _line_block(lines: list[str], lineno: int, fmt: str, seen: dict[str, int]) -
 def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
     """Parse a record file into a :class:`Corpus`; empty input yields an empty one.
 
-    Pipe text is checked one chunk of columns at a time, and a chunk
+    Pipe text is checked one block of columns at a time, and a block
     with a fault is read line by line to name it; JSON lines are read
     line by line. Malformed rows raise :class:`DataError` naming the first
     offending line; a duplicated id names both lines involved.
@@ -468,29 +467,27 @@ def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
     return read_input(data, fmt)
 
 
-def _sniff(chunks: Iterator[str]) -> tuple[str, Iterator[str]]:
-    """The kind of input that the first line that is not blank starts, and every chunk.
+def _sniff(blocks: Iterator[list[str]]) -> tuple[str, Iterator[list[str]]]:
+    """The kind of input that the first line that is not blank starts, and every block of lines.
 
-    The chunks are read only up to that line.
+    The blocks are read only up to the one that holds that line.
     """
     read = []
-    for chunk in chunks:
-        read.append(chunk)
-        # up to the next newline, then to any line boundary: no full split
-        if first := re.search(r"\S[^\n]*", chunk):
+    for lines in blocks:
+        read.append(lines)
+        if line := next(filter(None, map(str.strip, lines)), ""):
             break
     else:
         raise DataError("input file is empty; pass --input-kind if this is intended")
-    line = first.group().splitlines()[0].strip()
     if line.startswith("{"):
         kind = "jsonl"
     elif "|" in line:
         kind = "pipe"
-    elif _is_header(line) or re.fullmatch(r"\d+,\d+", line.replace(" ", "")):
+    elif _is_header(line) or re.fullmatch(r"[0-9]+,[0-9]+", line.replace(" ", "")):
         kind = "distribution"
     else:
         raise DataError(f"cannot tell what kind of input {line[:40]!r} starts; pass --input-kind")
-    return kind, chain(read, chunks)
+    return kind, chain(read, blocks)
 
 
 def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDistribution:
@@ -499,25 +496,26 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     ``kind`` is ``"pipe"``, ``"jsonl"``, ``"distribution"`` or ``"auto"``.
     Auto reads the first line that is not blank: ``{`` starts JSON
     lines, a ``|`` marks pipe records, and ``x,y`` or two integers
-    start a table; anything else raises :class:`DataError`. Bytes, UTF-8
-    with or without a BOM, are decoded a block at a time, as a file is.
+    start a table; anything else raises :class:`DataError`. Bytes (UTF-8,
+    with or without a BOM) and text are read a block at a time, as a file is.
     """
     if kind not in ("auto", "pipe", "jsonl", "distribution"):
         raise DataError(f"unknown record format {kind!r} "
                         "(expected 'auto', 'pipe', 'jsonl' or 'distribution')")
-    texts = _file_texts(io.BytesIO(data)) if isinstance(data, (bytes, bytearray)) else (data,)
+    texts = (_file_texts(io.BytesIO(data)) if isinstance(data, (bytes, bytearray))
+             else (data[i : i + _BLOCK_BYTES] for i in range(0, len(data), _BLOCK_BYTES)))
     return _read_texts(texts, kind)
 
 
 def _read_texts(texts: Iterable[str], kind: str, credit=None):
     """The records or table of the texts, of a checked ``kind``; ``"auto"`` is sniffed."""
-    chunks = _line_chunks(texts)
+    blocks = _line_blocks(texts)
     try:
         if kind == "auto":
-            kind, chunks = _sniff(chunks)
+            kind, blocks = _sniff(blocks)
         if kind == "distribution":
-            return _table_of(chunks)
-        return _records(chunks, kind, credit)
+            return _table_of(blocks)
+        return _records(blocks, kind, credit)
     except DataError:
         for _ in texts:  # read to the end with no parse: a later bad byte is the fault named
             pass
@@ -525,7 +523,7 @@ def _read_texts(texts: Iterable[str], kind: str, credit=None):
 
 
 def _read_file(path, kind: str, method: CountingMethod | None = None):
-    """``read_input`` of a file, read a chunk of whole lines at a time, and the tally of its names.
+    """``read_input`` of a file, read a block of lines at a time, and the tally of its names.
 
     Returns the records or table and, given a counting ``method``, a
     ``Counter`` of the papers each author is credited with (None without
@@ -595,7 +593,7 @@ def _ranges(file, kind: str) -> tuple[str, list[int]]:
     starts = [0]
     if count > 1 and kind == "auto":
         try:
-            kind = _sniff(_line_chunks(_file_texts(file)))[0]
+            kind = _sniff(_line_blocks(_file_texts(file)))[0]
         except DataError:  # named by the one-range read
             count = 1
     if count > 1 and kind in ("pipe", "jsonl"):
@@ -612,7 +610,7 @@ def _ranges(file, kind: str) -> tuple[str, list[int]]:
 
 
 def _crediting(method: CountingMethod | None, take) -> tuple:
-    """``credit(slots, starts)`` for a read, and ``flush()`` to call after its last chunk.
+    """``credit(slots, starts)`` for a read, and ``flush()`` to call after its last block.
 
     ``credit`` holds the names that ``method`` credits and hands them to
     ``take`` ``_TALLY_NAMES`` at a time; ``flush`` hands the rest. With
@@ -650,11 +648,11 @@ def _work(path, kind: str, method, start: int, end: int | None, out) -> NoReturn
     try:
         with open(path, "rb") as file:
             file.seek(start)
-            chunks = _line_chunks(_file_texts(file, end))
+            blocks = _line_blocks(_file_texts(file, end))
             credit, flush = _crediting(method, lambda names: _send(
                 out, b"N", "\n".join(names).encode("utf-8", "surrogatepass")))
             try:
-                columns = _records(chunks, kind, credit)
+                columns = _records(blocks, kind, credit)
             except DataError:
                 columns = None
         if columns is not None:
@@ -679,8 +677,8 @@ def _joined(parts: list[tuple | None]) -> Corpus | None:
     ids, years, sizes = zip(*parts)  # each range's own ids are distinct
     if len(set(chain.from_iterable(ids))) != sum(map(len, ids)):
         return None
-    offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    return Corpus._of_checked(list(chain.from_iterable(ids)), np.concatenate(years), offsets, None)
+    return Corpus._of_checked(list(chain.from_iterable(ids)), np.concatenate(years),
+                              np.concatenate(sizes), None)
 
 
 class _Worker:
@@ -793,18 +791,19 @@ def load_distribution(data: bytes | str) -> ProductivityDistribution:
     return read_input(data, "distribution")
 
 
-def _table_of(chunks: Iterable[str]) -> ProductivityDistribution:
-    """The distribution table of the chunks' lines."""
+def _table_of(blocks: Iterable[list[str]]) -> ProductivityDistribution:
+    """The distribution table of the blocks' lines."""
     rows: list[tuple[int, int]] = []
     seen_x: dict[int, int] = {}
-    for i, (lineno, line) in enumerate(_content_lines(chunks)):
+    numbered = enumerate(map(str.strip, chain.from_iterable(blocks)), start=1)
+    for i, (lineno, line) in enumerate(filter(itemgetter(1), numbered)):  # lines that are not blank
         if i == 0 and _is_header(line):
             continue
         parts = line.split(",")
         if len(parts) != 2:
             raise DataError(f"line {lineno}: expected 'x,y', got {line!r}")
         try:
-            x, y = int(parts[0].strip()), int(parts[1].strip())
+            x, y = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise DataError(f"line {lineno}: non-integer value in {line!r}") from None
         if x < 1:

@@ -282,6 +282,22 @@ def test_pattern_rejects_distribution_input(capsys):
     assert "requires records" in err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (("pattern",), "P1|2_005|A\nP2|2005|B\n", "line 1: year '2_005' is not an integer"),
+    (("pattern",), "P1|2005|A\nP2|\u0662\u0660\u0660\u0665|B\n",
+     "line 2: year '\u0662\u0660\u0660\u0665' is not an integer"),
+    (("ingest",), "x,y\n1_0,2\n", "line 2: non-integer value in '1_0,2'"),
+    (("ingest",), "\u0661,\u0665\n",
+     "cannot tell what kind of input '\u0661,\u0665' starts; pass --input-kind"),
+    (("ingest", "--input-kind", "distribution"), "\u0661,\u0665\n",
+     "line 1: non-integer value in '\u0661,\u0665'"),
+])
+def test_integers_that_only_python_syntax_takes_exit_2(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, argv[0], "--input", str(path), *argv[1:]) == (2, "", f"data error: {message}\n")
+
+
 @pytest.mark.parametrize("origin", ["-100000000000000000000", "0"])
 def test_pattern_origin_below_one_exits_2(capsys, origin):
     code, out, err = run(capsys, "pattern", "--input", SAMPLE, "--origin", origin)
@@ -524,13 +540,12 @@ def _peaks(*loads) -> list[int]:
 
 
 def test_cli_streams_a_record_file_it_never_holds_whole(capsys, monkeypatch, tmp_path):
-    """The CLI reads a record file a chunk of whole lines at a time, never its whole text.
+    """The CLI reads a record file a block of lines at a time, never its whole text.
 
-    The blocks shrink to 2^14 so that a chunk is a small part of the
+    The blocks shrink to 2^14 so that a block is a small part of the
     20,000-record file, as 2^20 is of a real bibliography.
     """
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 14)
     records = [PublicationRecord(f"P{i}", 1990 + i % 30, (f"Author {i % 97}", f"\u0141uk {i % 13}"))
                for i in range(20_000)]
     path = tmp_path / "records.jsonl"
@@ -551,7 +566,6 @@ def test_cli_counts_a_record_file_without_its_name_list(capsys, monkeypatch, tmp
     parse, the saving would hold at any names.
     """
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 14)
     monkeypatch.setattr(corpus, "_TALLY_NAMES", 1 << 12)
     records = [PublicationRecord(f"P{i}", 1990 + i % 30, (f"Author {i % 97}", f"\u0141uk {i % 13}"))
                for i in range(20_000)]
@@ -561,7 +575,7 @@ def test_cli_counts_a_record_file_without_its_name_list(capsys, monkeypatch, tmp
 
     def streamed_with_names():
         with open(path, "rb") as file:
-            return corpus._records(corpus._line_chunks(corpus._file_texts(file)), "jsonl")
+            return corpus._records(corpus._line_blocks(corpus._file_texts(file)), "jsonl")
 
     with_names = {
         "ingest": lambda: count_productivity(streamed_with_names()),
@@ -601,7 +615,6 @@ def test_a_bad_byte_is_named_before_an_earlier_data_fault(capsys, monkeypatch, t
                                                           bad, position, ranges):
     """A whole-file read decodes first, so its UTF-8 fault is the one named, at its file position."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     lines = [line.encode("utf-8") for line in _record_lines(fmt, 200)]
     lines[0], lines[150] = first, bad
     path = tmp_path / "records.txt"
@@ -616,7 +629,6 @@ def test_a_bad_byte_is_named_before_an_earlier_data_fault(capsys, monkeypatch, t
 def test_a_duplicate_id_in_a_later_chunk_names_both_lines(capsys, monkeypatch, tmp_path, fmt, first,
                                                           ranges):
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     lines = _record_lines(fmt, 200)
     lines[179] = lines[first].replace("2000", "2001")
     path = tmp_path / "records.txt"
@@ -626,15 +638,14 @@ def test_a_duplicate_id_in_a_later_chunk_names_both_lines(capsys, monkeypatch, t
 
 
 def test_a_chunk_refused_with_no_fault_in_it_is_read_line_by_line(capsys, monkeypatch, tmp_path):
-    """Should the column check refuse a valid chunk, the per-line reader reads it: same output."""
+    """Should the column check refuse a valid block, the per-line reader reads it: same output."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     path = tmp_path / "records.psv"
     path.write_bytes("".join(_record_lines("pipe", 200)).encode("utf-8"))
     commands = [("ingest",), ("report", "--preset", "paper")]
     expected = [run(capsys, command[0], "--input", str(path), *command[1:]) for command in commands]
     assert [code for code, _, _ in expected] == [0, 0]
-    block, refused = corpus._pipe_block, cycle([False, True])  # every second chunk
+    block, refused = corpus._pipe_block, cycle([False, True])  # every second block
     monkeypatch.setattr(corpus, "_pipe_block",
                         lambda *args: None if next(refused) else block(*args))
     parse_line = mock.Mock(wraps=corpus._parse_pipe_line)
@@ -654,7 +665,6 @@ def test_a_chunk_refused_with_no_fault_in_it_is_read_line_by_line(capsys, monkey
 def test_a_fault_in_the_last_of_many_chunks_is_named(capsys, monkeypatch, tmp_path, command,
                                                       fmt, fault, message, ranges):
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     lines = _record_lines(fmt, 200)
     lines[-1] = fault
     path = tmp_path / "records.txt"
@@ -670,13 +680,12 @@ def test_a_fault_in_the_last_of_many_chunks_is_named(capsys, monkeypatch, tmp_pa
 ])
 def test_a_late_fault_peaks_no_higher_than_the_valid_file(capsys, monkeypatch, tmp_path, command,
                                                            fault, message):
-    """Naming a fault on the last line reads its chunk line by line; the file is never held whole.
+    """Naming a fault on the last line reads its block line by line; the file is never held whole.
 
-    Blocks, chunks and tally shrink as in the tests above. Each of the
+    Blocks and tally shrink as in the tests above. Each of the
     two faults goes with one command: a run takes seconds under tracemalloc.
     """
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 14)
     monkeypatch.setattr(corpus, "_TALLY_NAMES", 1 << 12)
     lines = [f"P{i}|{1990 + i % 30}|Author {i}; \u0141uk {40_000 // (i + 1)}\r\n"
              for i in range(40_000)]
@@ -696,8 +705,8 @@ def test_a_late_fault_peaks_no_higher_than_the_valid_file(capsys, monkeypatch, t
 def test_input_that_cannot_seek_reads_as_a_file(capsys, tmp_path, case):
     """A pipe is read once, as a file is: its faults are named in that pass.
 
-    The 2 MB inputs span two blocks and many chunks, and the bad byte
-    sits in the second block, after the data fault.
+    The 2 MB inputs span eight blocks, and the bad byte sits in the
+    last block, after the data fault.
     """
     lines = [f"P{i}|2000|Author {i}; \u0141uk {i % 7}\n".encode("utf-8") for i in range(60_000)]
     if case == "late-bad-year":
@@ -771,16 +780,15 @@ def _record_files(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_record_files(), st.sampled_from(["complete", "straight"]), st.booleans(),
-       st.integers(1, 7), st.integers(1, 40), st.integers(1, 6))
+       st.integers(1, 7), st.integers(1, 6))
 def test_ingest_counts_a_file_as_the_library_counts_its_text(tmp_path_factory, case, method, sniff,
-                                                             block_bytes, chunk_chars, tally_names):
+                                                             block_bytes, tally_names):
     """Blocks of a few bytes cut CR LF pairs and multi-byte characters in two."""
     fmt, text, data = case
     path = tmp_path_factory.getbasetemp() / "records_to_count"
     path.write_bytes(data)
     out = io.StringIO()
     with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars), \
             mock.patch.object(corpus, "_TALLY_NAMES", tally_names), redirect_stdout(out):
         code = main(["ingest", "--input", str(path), "--input-kind", "auto" if sniff else fmt,
                      "--counting", method, "--format", "json"])

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lotkalaw import (
@@ -120,6 +120,8 @@ _GOOD_JSONL = dump_records([PublicationRecord("P1", 2005, ("A",)),
 @pytest.mark.parametrize("fmt, bad, fault", [
     ("pipe", "P3|2007", "3 '|'-separated columns"),
     ("pipe", "P3|2007.5|C", "year '2007.5' is not an integer"),
+    ("pipe", "P3|2_007|C", "year '2_007' is not an integer"),
+    ("pipe", "P3|\u0662\u0660\u0660\u0667|C", "year '\u0662\u0660\u0660\u0667' is not an integer"),
     ("pipe", "P3|0|C", "year must be a positive integer, got 0"),
     ("pipe", " |2007|C", "empty record id"),
     ("pipe", "P3|2007| ; ;", "record 'P3' has no authors"),
@@ -131,7 +133,8 @@ _GOOD_JSONL = dump_records([PublicationRecord("P1", 2005, ("A",)),
     ("jsonl", '{"id": "P3", "year": true, "authors": ["C"]}', "year must be a positive integer"),
     ("jsonl", '{"id": "P3", "year": 2007, "authors": ["C", 7]}', "authors must be a list of strings"),
     ("jsonl", '{"id": "P3", "year": 2007, "authors": []}', "record 'P3' has no authors"),
-], ids=["pipe-columns", "pipe-year-text", "pipe-year-zero", "pipe-empty-id",
+], ids=["pipe-columns", "pipe-year-text", "pipe-year-underscore", "pipe-year-arabic-indic",
+        "pipe-year-zero", "pipe-empty-id",
         "pipe-no-authors", "pipe-duplicate-id", "jsonl-invalid", "jsonl-not-object",
         "jsonl-missing-key", "jsonl-id-not-string", "jsonl-bool-year",
         "jsonl-author-not-string", "jsonl-no-authors"])
@@ -203,12 +206,11 @@ def test_read_input_names_every_kind():
 def test_a_bytes_read_holds_no_whole_decoded_text(monkeypatch):
     """Bytes are decoded a block at a time: their read peaks no higher than that of their text.
 
-    The blocks and chunks shrink to 2^14, a small part of the 20,000
+    The blocks shrink to 2^14, a small part of the 20,000
     records, as 2^20 is of a real bibliography; the text, with a
     non-ASCII name in each line, takes two bytes a character.
     """
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 14)
     text = "".join(f"P{i}|{1990 + i % 30}|Author {i % 97}; \u0141uk {i}\n" for i in range(20_000))
     data = text.encode("utf-8")
     peaks = []
@@ -229,6 +231,8 @@ def test_read_input_rejects_empty_and_unknown_layouts():
         read_input(" \n\r\n\x85")
     with pytest.raises(DataError, match="cannot tell what kind of input 'hello world' starts"):
         read_input("\n hello world \n1,2\n")
+    with pytest.raises(DataError, match="cannot tell what kind of input '\u0661,\u0665' starts"):
+        read_input("\u0661,\u0665\n")  # int() takes Arabic-Indic digits, but no table does
 
 
 def _first_line_kind(text: str) -> str:
@@ -241,7 +245,7 @@ def _first_line_kind(text: str) -> str:
             if "|" in line:
                 return "pipe"
             squeezed = line.replace(" ", "").lower()
-            if squeezed == "x,y" or re.fullmatch(r"\d+,\d+", squeezed):
+            if squeezed == "x,y" or re.fullmatch(r"[0-9]+,[0-9]+", squeezed):
                 return "distribution"
             return "unknown"
     return "empty"
@@ -257,7 +261,7 @@ _SNIFF_ALPHABET = st.sampled_from(
 @given(st.lists(_SNIFF_ALPHABET, max_size=14).map("".join))
 def test_read_input_sniffs_like_a_full_split(text):
     try:
-        kind, _ = corpus._sniff(corpus._line_chunks((text,)))
+        kind, _ = corpus._sniff(corpus._line_blocks((text,)))
     except DataError as exc:
         kind = "empty" if "empty" in str(exc) else "unknown"
     assert kind == _first_line_kind(text)
@@ -386,20 +390,21 @@ def test_parse_builds_no_record_objects(monkeypatch):
 
 
 def test_valid_pipe_text_makes_no_call_per_line(monkeypatch):
-    """Pipe columns are checked a chunk at a time; the per-line parser reads only a faulty chunk."""
+    """Pipe columns are checked a block at a time; the per-line parser reads only a faulty block."""
     calls = []
     parse_line = corpus._parse_pipe_line
     monkeypatch.setattr(corpus, "_parse_pipe_line",
                         lambda line: (calls.append(line), parse_line(line))[1])
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 500)
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 500)
     lines = [f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i % 13}\n" for i in range(1000)]
     records = parse_records("".join(lines))
     assert len(records) == 1000 and len(records.names) == 2000 and calls == []
     lines[699] = "P699|19x9|Author 1\n"
     with pytest.raises(DataError, match=r"^line 700: year '19x9' is not an integer$"):
         parse_records("".join(lines))
-    # the counter does count: the faulty chunk's lines, up to the fault
-    assert calls == [line.strip() for line in lines[686:700]]
+    # the counter does count: the faulty block's lines (those that end in its 500
+    # characters), up to the fault
+    assert calls == [line.strip() for line in lines[684:700]]
 
 
 @pytest.mark.parametrize("faulty, message", [
@@ -409,33 +414,28 @@ def test_valid_pipe_text_makes_no_call_per_line(monkeypatch):
     ("P1|2000| ; ", "record 'P1' has no authors"),
 ])
 def test_a_pipe_fault_ends_the_column_pass_in_its_chunk(monkeypatch, faulty, message):
-    """The chunk that the column check refuses is read line by line before the next is read."""
-    searches = []
-    line_end = corpus._LINE_END
-
-    class CountingLineEnd:
-        def search(self, text, pos):
-            searches.append(pos)
-            return line_end.search(text, pos)
-
-    monkeypatch.setattr(corpus, "_LINE_END", CountingLineEnd())
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 500)
+    """The block that the column check refuses is read line by line before the next is read."""
+    pulled = []  # the pieces of text split into lines so far
+    line_blocks = corpus._line_blocks
+    monkeypatch.setattr(corpus, "_line_blocks",
+                        lambda texts: line_blocks(pulled.append(text) or text for text in texts))
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 500)
     lines = [f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i % 13}" for i in range(1000)]
-    assert len(parse_records("\n".join(lines))) == 1000 and len(searches) > 50
-    searches.clear()
+    assert len(parse_records("\n".join(lines))) == 1000 and len(pulled) > 50
+    pulled.clear()
     lines[1] = faulty
     parse_line = corpus._parse_pipe_line
-    before_lines = []  # searches made when the per-line reader parses its first line
+    before_lines = []  # pieces pulled when the per-line reader parses its first line
     monkeypatch.setattr(corpus, "_parse_pipe_line", lambda line: (
-        before_lines.append(len(searches)), parse_line(line))[1])
+        before_lines.append(len(pulled)), parse_line(line))[1])
     with pytest.raises(DataError, match=f"^line 2: {re.escape(message)}$"):
         parse_records("\n".join(lines))
-    assert before_lines[0] == 1  # the one chunk, checked by columns, then read line by line
+    assert before_lines[0] == 1  # the one block, checked by columns, then read line by line
 
 
 def test_pipe_chunks_end_at_every_line_end(monkeypatch):
-    """A file with no newline is still read a chunk at a time: memory stays bounded."""
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 2000)
+    """A file with no newline is still read a block at a time: memory stays bounded."""
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 2000)
     peaks = {}
     for end in ["\n", "\r", "\x85", "\x0c"]:
         text = "".join(f"P{i}|{1990 + i % 30}|Author {i % 97}; Author {i}{end}" for i in range(5000))
@@ -494,7 +494,8 @@ def _pipe_texts(draw):
         if fault == "columns":
             row[:] = draw(st.sampled_from([row[:2], [*row, "x"]]))
         elif fault == "year":
-            row[1] = draw(st.sampled_from(["x", "", "1.5", "0", "-3", str(2**63), str(-2**70)]))
+            row[1] = draw(st.sampled_from(["x", "", "1.5", "0", "-3", str(2**63), str(-2**70),
+                                           "2_005", "\u0662\u0660\u0660\u0665"]))
         elif fault == "id":
             row[0] = draw(st.sampled_from(["", "\u3000", rows[0][0], rows[-1][0]]))
         else:
@@ -509,10 +510,10 @@ def _pipe_texts(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(_pipe_texts(), st.integers(1, 40))
-def test_pipe_columns_match_the_per_line_loop(text, chunk_chars):
-    with mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars):
+def test_pipe_columns_match_the_per_line_loop(text, block_chars):
+    with mock.patch.object(corpus, "_BLOCK_BYTES", block_chars):
         columns = _load_outcome(lambda: parse_records(text, "pipe"))
-        with mock.patch.object(corpus, "_pipe_block", return_value=None):  # every chunk refused
+        with mock.patch.object(corpus, "_pipe_block", return_value=None):  # every block refused
             assert columns == _load_outcome(lambda: parse_records(text, "pipe"))
 
 
@@ -560,15 +561,15 @@ def test_parse_property_matches_hand_built_records(rows, fmt):
 # record files read in chunks
 
 @settings(derandomize=True, deadline=None, max_examples=400)
-@given(st.lists(st.text(st.sampled_from(["\r", "\n", "\x85", " ", " ", "a"]), max_size=6),
-                max_size=6), st.integers(1, 8))
-def test_line_chunks_keep_every_line_of_the_text(pieces, chunk_chars):
-    """No chunk ends inside a line or between the CR and LF of one line end."""
-    with mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars):
-        chunks = list(corpus._line_chunks(pieces))
-    text = "".join(pieces)
-    assert "".join(chunks) == text and "" not in chunks
-    assert [line for chunk in chunks for line in chunk.splitlines()] == text.splitlines()
+@given(st.lists(st.text(st.sampled_from(["\r", "\n", "\x85", "\x0c", "\u2028", " ", "\u3000",
+                                         "a", "b"]), max_size=6), max_size=8))
+@example(["\r", "a"])  # a lone CR ends a line of its own
+@example(["a\r", "\nb"])  # a CR LF cut in two is one line end
+def test_line_blocks_keep_every_line_of_the_text(pieces):
+    """No block ends inside a line or between the CR and LF of one line end."""
+    blocks = list(corpus._line_blocks(pieces))
+    assert [] not in blocks
+    assert [line for lines in blocks for line in lines] == "".join(pieces).splitlines(True)
 
 
 def test_a_line_of_many_pieces_is_chunked_in_linear_time():
@@ -576,9 +577,9 @@ def test_a_line_of_many_pieces_is_chunked_in_linear_time():
     text = "x" * (1 << 23) + "\n"
     pieces = [text[i : i + (1 << 10)] for i in range(0, len(text), 1 << 10)]
     start = time.perf_counter()
-    chunks = list(corpus._line_chunks(pieces))
+    blocks = list(corpus._line_blocks(pieces))
     elapsed = time.perf_counter() - start
-    assert chunks == [text]
+    assert blocks == [[text]]
     assert elapsed < 1.0
 
 
@@ -593,9 +594,8 @@ def _credited_names(records: Corpus, method) -> list[str]:
 @pytest.mark.parametrize("method", list(CountingMethod))
 @pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
 def test_records_counted_as_they_are_read_keep_no_names(monkeypatch, tmp_path, fmt, method):
-    """Each chunk's names go to the tally and no further; what the columns need stays."""
+    """Each block's names go to the tally and no further; what the columns need stays."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     monkeypatch.setattr(corpus, "_TALLY_NAMES", 8)
     credited = mock.Mock(wraps=corpus._credited)
     monkeypatch.setattr(corpus, "_credited", credited)
@@ -618,9 +618,8 @@ def test_records_counted_as_they_are_read_keep_no_names(monkeypatch, tmp_path, f
 
 
 def test_naming_a_pipe_fault_credits_no_name_twice(monkeypatch, tmp_path):
-    """Each chunk is credited once, as it is read: the chunk that names the fault credits nothing."""
+    """Each block is credited once, as it is read: the block that names the fault credits nothing."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     path = tmp_path / "records.psv"
     path.write_text("".join(f"P{i}|2000|Author {i}\n" for i in range(199)) + "P199|19x9|A\n",
                     encoding="utf-8")
@@ -694,9 +693,9 @@ def _file_outcome(path, kind, method):
 @given(st.one_of(st.tuples(st.just("pipe"), _pipe_texts()),
                  st.tuples(st.just("jsonl"), _jsonl_texts())),
        st.booleans(), st.booleans(), st.none() | st.integers(0, 10**4),
-       st.integers(1, 7), st.integers(1, 40), st.sampled_from([None, *CountingMethod]))
+       st.integers(1, 7), st.sampled_from([None, *CountingMethod]))
 def test_a_file_read_in_chunks_parses_as_its_whole_text(tmp_path_factory, case, bom, sniff,
-                                                        bad_byte, block_bytes, chunk_chars, method):
+                                                        bad_byte, block_bytes, method):
     """Blocks of a few bytes cut CR LF pairs and multi-byte characters in two."""
     fmt, text = case
     data = b"\xef\xbb\xbf" * bom + text.encode("utf-8")
@@ -707,8 +706,7 @@ def test_a_file_read_in_chunks_parses_as_its_whole_text(tmp_path_factory, case, 
     expected = _decoded_outcome(data, kind, method)
     path = tmp_path_factory.getbasetemp() / "records_in_chunks"
     path.write_bytes(data)
-    with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars):
+    with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes):
         assert _counted_outcome(lambda: read_input(data, kind), method) == expected
         with mock.patch.object(corpus, "read_input", wraps=corpus.read_input) as whole_file:
             assert _file_outcome(path, kind, method) == expected
@@ -766,16 +764,15 @@ def _split_files(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_split_files(), st.sampled_from([None, *CountingMethod]), st.booleans(), st.integers(2, 4),
-       st.integers(1, 32), st.integers(1, 7), st.integers(1, 40))
+       st.integers(1, 32), st.integers(1, 7))
 def test_a_file_read_in_ranges_reads_as_one_range(tmp_path_factory, case, method, sniff, cpus,
-                                                   split_bytes, block_bytes, chunk_chars):
+                                                   split_bytes, block_bytes):
     """Workers forked for the ranges give the records, tally and fault of a one-range read."""
     fmt, data = case
     path = tmp_path_factory.getbasetemp() / "records_in_ranges"
     path.write_bytes(data)
     kind = "auto" if sniff else fmt
-    with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(corpus, "_CHUNK_CHARS", chunk_chars):
+    with mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes):
         expected = _file_outcome(path, kind, method)
         with mock.patch.object(corpus, "_SPLIT_BYTES", split_bytes), \
                 mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
@@ -848,7 +845,6 @@ def test_the_parent_parses_no_range_of_a_split_file(monkeypatch, tmp_path, fmt):
 def test_a_worker_that_dies_leaves_the_file_to_be_read_as_one_range(monkeypatch, tmp_path):
     """A worker killed mid-read, say for memory, costs a one-range read, not the records."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
-    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 64)
     monkeypatch.setattr(corpus, "_TALLY_NAMES", 8)
     path = tmp_path / "records.psv"
     path.write_text("".join(f"P{i}|2000|Author {i}; Author {i % 7}\n" for i in range(300)),
@@ -1039,6 +1035,13 @@ def test_load_distribution_rejects_bad_x():
 def test_load_distribution_rejects_duplicates():
     with pytest.raises(DataError, match=r"line 3.*duplicate x=2.*line 1"):
         load_distribution("2,5\n1,9\n2,4\n")
+
+
+@pytest.mark.parametrize("row", ["1_0,2", "\u0661,5", "1,\uff15"])
+def test_load_distribution_rejects_integers_that_only_python_syntax_takes(row):
+    with pytest.raises(DataError, match=f"^line 2: non-integer value in {re.escape(repr(row))}$"):
+        load_distribution(f"x,y\n{row}\n")
+    assert load_distribution("x,y\n\u30001 ,\u20032\n").points == ((1, 2),)  # padding is no digit
 
 
 def test_load_distribution_rejects_garbage():
