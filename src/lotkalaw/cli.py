@@ -23,6 +23,7 @@ from .corpus import (
     CountingMethod,
     ProductivityDistribution,
     _distribution_of,
+    _integer,
     _read_file,
     dump_distribution,
 )
@@ -80,7 +81,7 @@ def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--truncate-x",
-        type=int,
+        type=_int_flag,
         default=None,
         help="ignore productivity levels above this value when fitting",
     )
@@ -111,10 +112,10 @@ def _add_ks_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_pattern_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--period", type=int, default=5, help="years per period (default 5)")
+    sub.add_argument("--period", type=_int_flag, default=5, help="years per period (default 5)")
     sub.add_argument(
         "--origin",
-        type=int,
+        type=_int_flag,
         default=None,
         help="first year of the first period (default: earliest record year)",
     )
@@ -145,10 +146,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value, read as a record year is: no ``_``, no non-ASCII digit."""
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_c_method(text: str) -> int | None:
     if text in ("zeta", "sum"):
         return None if text == "zeta" else 1_000_000
-    match = re.fullmatch(r"sum:(\d+)", text)
+    match = re.fullmatch(r"sum:([0-9]+)", text)
     if match:
         limit = int(match.group(1))
         if limit < 1:
@@ -161,7 +170,7 @@ def _parse_c_digits(text: str) -> int | None:
     if text == "full":
         return None
     try:
-        digits = int(text)
+        digits = _integer(text)
     except ValueError:
         raise UsageError(f"bad --c-digits {text!r}; expected an integer or 'full'") from None
     if digits < 0:

@@ -357,6 +357,10 @@ def _parse_jsonl_line(line: str) -> tuple:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON ({exc.msg})") from None
+    except ValueError:  # int() refuses a number past sys.get_int_max_str_digits()
+        raise DataError("invalid JSON (a number with too many digits)") from None
+    except RecursionError:
+        raise DataError("invalid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise DataError("expected a JSON object")
     missing = {"id", "year", "authors"} - obj.keys()

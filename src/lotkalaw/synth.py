@@ -22,6 +22,12 @@ __all__ = [
     "exact_distribution",
 ]
 
+# Uniforms drawn and counted at a time, so a sort stays in cache. A
+# support wider than 2^12 levels takes 2^16 / 2^12 = 16 uniforms per
+# level, so the search of its edges into a block costs little beside
+# the sort, and a support as wide as the draw is one block.
+_BLOCK_UNIFORMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -68,24 +74,32 @@ def truncated_probabilities(n: float, x_max: int) -> np.ndarray:
 def sample_distribution(spec: SynthSpec) -> ProductivityDistribution:
     """Draw author productivities independently from the truncated law.
 
-    Reproducibility contract: the stream is numpy's PCG64 generator
-    seeded with ``spec.seed``, and ``author_count`` uniform float64
-    values ``u`` are drawn in one call. With ``cdf = np.cumsum(p)`` and
-    its last entry pinned to 1.0, level x gets the uniforms in
-    ``[cdf[x-2], cdf[x-1])``, level 1 those in ``[0, cdf[0])``: the
-    table that a right-side bisect of each ``u`` into ``cdf`` gives.
-    The code sorts ``u`` and counts the uniforms below each CDF edge.
-    PCG64's bit stream and the uniform-double conversion are stable
-    across platforms and numpy releases, so one spec always yields one
-    table.
+    Reproducibility contract: the uniforms ``u`` are the first
+    ``author_count`` float64 values of numpy's PCG64 generator seeded
+    with ``spec.seed``. With ``cdf = np.cumsum(p)`` and its last entry
+    pinned to 1.0, level x gets the uniforms in ``[cdf[x-2], cdf[x-1])``,
+    level 1 those in ``[0, cdf[0])``: the table that a right-side bisect
+    of each ``u`` into ``cdf`` gives. The code draws ``u`` a block at a
+    time, sorts each block and adds up the uniforms below each CDF edge;
+    successive draws give the doubles that one draw gives, so the block
+    size never changes the table. PCG64's bit stream and the
+    uniform-double conversion are stable across platforms and numpy
+    releases, so one spec always yields one table.
     """
-    p = truncated_probabilities(spec.n, spec.x_max)
-    cdf = np.cumsum(p)
+    cdf = np.cumsum(truncated_probabilities(spec.n, spec.x_max))
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    u = rng.random(spec.author_count)
-    u.sort()
-    counts = np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)
+    block = max(_BLOCK_UNIFORMS, _BLOCK_UNIFORMS * int(spec.x_max) >> 12)  # no int32 overflow
+    for done in range(0, spec.author_count, block):
+        u = rng.random(min(block, spec.author_count - done))
+        u.sort()
+        found = np.searchsorted(u, cdf, side="left")
+        if done:
+            below += found
+        else:  # the count starts from the first block's search, with no zeroed array
+            below = found
+        del u  # before the next block is drawn
+    counts = np.diff(below, prepend=0)
     return ProductivityDistribution(_points(counts), provenance=f"sampled:seed={spec.seed}")
 
 

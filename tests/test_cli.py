@@ -298,6 +298,18 @@ def test_integers_that_only_python_syntax_takes_exit_2(capsys, tmp_path, argv, t
     assert run(capsys, argv[0], "--input", str(path), *argv[1:]) == (2, "", f"data error: {message}\n")
 
 
+@pytest.mark.parametrize("line, fault", [
+    ('{"id": "P2", "year": ' + "1" * 5000 + ', "authors": ["B"]}', "a number with too many digits"),
+    ('{"id": "P2", "year": 2006, "authors": ["B"], "x": ' + "[" * 100_000, "nested too deeply"),
+], ids=["year-past-the-digit-limit", "nested-past-the-stack"])
+def test_json_past_the_parser_limits_exits_2(capsys, tmp_path, line, fault):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"id": "P1", "year": 2005, "authors": ["A"]}\n' + line + "\n",
+                    encoding="utf-8")
+    assert run(capsys, "ingest", "--input", str(path)) == (
+        2, "", f"data error: line 2: invalid JSON ({fault})\n")
+
+
 @pytest.mark.parametrize("origin", ["-100000000000000000000", "0"])
 def test_pattern_origin_below_one_exits_2(capsys, origin):
     code, out, err = run(capsys, "pattern", "--input", SAMPLE, "--origin", origin)
@@ -866,6 +878,18 @@ USAGE_ERRORS = [
     (["report"], "report requires --coefficient or --preset"),
     (["report", "--preset", "paper", "--format", "csv"],
      "report emits a json document; use --plot-out for csv plot data"),
+    (["pattern", "--period", "1_0"], "argument --period: invalid int value: '1_0'"),
+    (["pattern", "--period", "\u0661\u0660"],
+     "argument --period: invalid int value: '\u0661\u0660'"),
+    (["report", "--preset", "paper", "--origin", "1_990"],
+     "argument --origin: invalid int value: '1_990'"),
+    (["fit", "--truncate-x", "1_00"], "argument --truncate-x: invalid int value: '1_00'"),
+    (["ks", "--preset", "paper", "--truncate-x", "\u0661\u0660"],
+     "argument --truncate-x: invalid int value: '\u0661\u0660'"),
+    (["fit", "--c-digits", "\u0662"], "bad --c-digits '\u0662'; expected an integer or 'full'"),
+    (["fit", "--c-digits", "1_0"], "bad --c-digits '1_0'; expected an integer or 'full'"),
+    (["fit", "--c-method", "sum:\u0661\u0660\u0660\u0660"],
+     "bad --c-method 'sum:\u0661\u0660\u0660\u0660'; expected 'zeta' or 'sum:<terms>'"),
     (["pattern", "--period", "0"], "--period must be >= 1"),
     (["report", "--preset", "paper", "--period", "0"], "--period must be >= 1"),
     (["pattern", "--counting", "straight"], "unrecognized arguments: --counting straight"),

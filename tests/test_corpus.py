@@ -115,6 +115,10 @@ def test_load_distribution_drops_utf8_byte_order_mark():
 _GOOD_PIPE = "P1|2005|A\nP2|2006|B\n"
 _GOOD_JSONL = dump_records([PublicationRecord("P1", 2005, ("A",)),
                             PublicationRecord("P2", 2006, ("B",))])
+# json raises ValueError past Python's 4,300-digit int limit and
+# RecursionError past the stack, neither a JSONDecodeError
+_LONG_YEAR_LINE = '{"id": "P3", "year": ' + "1" * 5000 + ', "authors": ["C"]}'
+_DEEP_LINE = '{"id": "P3", "year": 2007, "authors": ["C"], "x": ' + "[" * 100_000
 
 
 @pytest.mark.parametrize("fmt, bad, fault", [
@@ -133,11 +137,14 @@ _GOOD_JSONL = dump_records([PublicationRecord("P1", 2005, ("A",)),
     ("jsonl", '{"id": "P3", "year": true, "authors": ["C"]}', "year must be a positive integer"),
     ("jsonl", '{"id": "P3", "year": 2007, "authors": ["C", 7]}', "authors must be a list of strings"),
     ("jsonl", '{"id": "P3", "year": 2007, "authors": []}', "record 'P3' has no authors"),
+    ("jsonl", _LONG_YEAR_LINE, "invalid JSON (a number with too many digits)"),
+    ("jsonl", _DEEP_LINE, "invalid JSON (nested too deeply)"),
 ], ids=["pipe-columns", "pipe-year-text", "pipe-year-underscore", "pipe-year-arabic-indic",
         "pipe-year-zero", "pipe-empty-id",
         "pipe-no-authors", "pipe-duplicate-id", "jsonl-invalid", "jsonl-not-object",
         "jsonl-missing-key", "jsonl-id-not-string", "jsonl-bool-year",
-        "jsonl-author-not-string", "jsonl-no-authors"])
+        "jsonl-author-not-string", "jsonl-no-authors", "jsonl-year-past-the-digit-limit",
+        "jsonl-nested-past-the-stack"])
 def test_record_faults_name_their_line_once(fmt, bad, fault):
     good = _GOOD_PIPE if fmt == "pipe" else _GOOD_JSONL
     with pytest.raises(DataError) as info:
@@ -778,6 +785,28 @@ def test_a_file_read_in_ranges_reads_as_one_range(tmp_path_factory, case, method
                 mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
             assert _file_outcome(path, kind, method) == expected
     with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("line, fault", [
+    (_LONG_YEAR_LINE, "a number with too many digits"),
+    (_DEEP_LINE, "nested too deeply"),
+], ids=["year-past-the-digit-limit", "nested-past-the-stack"])
+def test_a_json_fault_in_a_later_range_is_named_by_the_one_range_read(monkeypatch, tmp_path,
+                                                                       line, fault):
+    monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    lines = dump_records(PublicationRecord(f"P{i}", 2000, (f"Author {i}",))
+                         for i in range(300)).splitlines(keepends=True)
+    lines[-5] = line + "\n"
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    forked = mock.Mock(wraps=corpus._Worker)
+    monkeypatch.setattr(corpus, "_Worker", forked)
+    with pytest.raises(DataError, match=rf"^line 296: invalid JSON \({fault}\)$"):
+        corpus._read_file(path, "auto", CountingMethod.COMPLETE)
+    assert forked.call_count == 2
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 

@@ -1,6 +1,8 @@
 """Synthetic draws: determinism, law fidelity, estimator calibration."""
 
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from lotkalaw import (
     sample_distribution,
     truncated_probabilities,
 )
+from lotkalaw import synth
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +112,9 @@ def test_synth_accepts_numpy_integers():
     spec = SynthSpec(2.0, np.int64(5), np.int64(3), np.uint64(42))
     assert sample_distribution(spec).points == ((1, 3), (2, 2))
     assert exact_distribution(2.0, np.int32(10), np.int64(2)).points == ((1, 8), (2, 2))
+    # a block sized from an int32 support of 40,000 levels must not wrap
+    assert (sample_distribution(SynthSpec(2.0, np.int32(1000), np.int32(40_000), 3))
+            == sample_distribution(SynthSpec(2.0, 1000, 40_000, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +171,25 @@ def test_sample_matches_the_bisect_contract(n, author_count, x_max, seed):
     assert sample_distribution(spec).points == _bisect_table(spec)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.floats(1.01, 6.0),
+    st.integers(1, 2000),
+    st.integers(2, 3000),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 64),
+)
+def test_a_draw_in_many_blocks_matches_the_bisect_contract(n, author_count, x_max, seed, block):
+    spec = SynthSpec(n, author_count, x_max, seed)
+    with mock.patch.object(synth, "_BLOCK_UNIFORMS", block):
+        assert sample_distribution(spec).points == _bisect_table(spec)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
         SynthSpec(2.0, 1, 2, 0),
+        SynthSpec(2.0, 3 * 2**16 + 5, 100, 5),  # three whole blocks and a partial one
         SynthSpec(3.0, 7, 3, 1),
         SynthSpec(1.05, 2000, 10**5, 2),  # wide, sparse support
         # cumsum reaches 1.0 at level 99,949: the pinned CDF is not
@@ -177,12 +198,37 @@ def test_sample_matches_the_bisect_contract(n, author_count, x_max, seed):
         SynthSpec(4.0, 3000, 10**6, 4),  # the last probability is 0.0
         SynthSpec(2.0, 1000, 50, 2**64 - 1),
     ],
-    ids=["one-author", "x_max-3", "sparse-1e5", "cdf-not-monotone", "last-p-zero", "max-seed"],
+    ids=["one-author", "three-blocks-and-5", "x_max-3", "sparse-1e5", "cdf-not-monotone",
+         "last-p-zero", "max-seed"],
 )
 def test_sample_matches_the_bisect_contract_on_edges(spec):
     points = sample_distribution(spec).points
     assert points == _bisect_table(spec)
     assert sum(y for _, y in points) == spec.author_count
+
+
+def _traced_peak(call) -> int:
+    call()  # numpy's first-call set-up is not the draw's
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_narrow_draw_holds_a_few_blocks_of_uniforms_not_all_of_them():
+    # all 2e6 uniforms at once took 16.0 MB
+    peak = _traced_peak(lambda: sample_distribution(SynthSpec(2.0, 2_000_000, 100, 0)))
+    assert peak < 4 * 8 * synth._BLOCK_UNIFORMS
+
+
+def test_a_draw_as_wide_as_its_support_holds_less_than_a_draw_in_one_call():
+    # one block of 1e6 uniforms on 1e6 levels: 61.9 MB. The draw in one
+    # call took 69.9 MB (66.6 MiB), and so does this one if its count
+    # starts from a zeroed array of 8 bytes per level
+    peak = _traced_peak(lambda: sample_distribution(SynthSpec(1.05, 10**6, 10**6, 0)))
+    assert peak < 64 * 10**6
 
 
 def test_sample_gives_a_uniform_on_a_cdf_edge_to_the_level_above(monkeypatch):
