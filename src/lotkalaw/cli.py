@@ -162,6 +162,8 @@ def _parse_c_method(text: str) -> int | None:
         limit = int(match.group(1))
         if limit < 1:
             raise UsageError("--c-method sum:<terms> needs at least one term")
+        if limit >= 2**63:
+            raise UsageError("--c-method sum:<terms> takes fewer than 2^63 terms")
         return limit
     raise UsageError(f"bad --c-method {text!r}; expected 'zeta' or 'sum:<terms>'")
 

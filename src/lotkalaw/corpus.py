@@ -372,12 +372,16 @@ def _parse_jsonl_line(line: str) -> tuple:
     return obj["id"], obj["year"], authors
 
 
-def _records(blocks: Iterable[list[str]], fmt: str, credit=None) -> Corpus:
+def _records(blocks: Iterable[list[str]], fmt: str, take=None,
+             method: CountingMethod | None = None) -> Corpus:
     """The records of the blocks of lines, each read in the one pass that names its first fault.
 
     A pipe block goes through the column check; any other block, or one
-    it refuses, through the per-line reader. Given ``credit``, each
-    block's cleaned slots and record starts go to it and are dropped.
+    it refuses, through the per-line reader. Without ``take`` the corpus
+    keeps every cleaned name. With it the records keep no names: those
+    that ``method`` credits (none if it is None) go to ``take``
+    ``_TALLY_NAMES`` at a time, and the rest once after the last block.
+    No batch is empty, and none is handed after a fault.
     """
     seen: dict[str, int] = {}  # id -> line, in record order: the ids column
     years, sizes, names = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
@@ -388,13 +392,18 @@ def _records(blocks: Iterable[list[str]], fmt: str, credit=None) -> Corpus:
         lineno += len(lines)
         years.append(block_years)
         sizes.append(counts)
-        if credit is None:
+        if take is None:
             names += slots
-        else:
-            credit(slots, np.cumsum(counts) - counts)
+        elif method is not None:
+            names += _credited(slots, np.cumsum(counts) - counts, method)
+            if len(names) >= _TALLY_NAMES:
+                take(names)
+                names = []
         del lines, slots  # before the next block is read
+    if take is not None and names:
+        take(names)
     return Corpus._of_checked(list(seen), np.concatenate(years), np.concatenate(sizes),
-                              None if credit else names)
+                              names if take is None else None)
 
 
 def _pipe_block(lines: list[str], lineno: int, seen: dict[str, int]) -> tuple | None:
@@ -511,15 +520,15 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     return _read_texts(texts, kind)
 
 
-def _read_texts(texts: Iterable[str], kind: str, credit=None):
-    """The records or table of the texts, of a checked ``kind``; ``"auto"`` is sniffed."""
+def _read_texts(texts: Iterable[str], kind: str, take=None, method: CountingMethod | None = None):
+    """The records (see :func:`_records`) or table of the texts, of a checked or sniffed ``kind``."""
     blocks = _line_blocks(texts)
     try:
         if kind == "auto":
             kind, blocks = _sniff(blocks)
         if kind == "distribution":
             return _table_of(blocks)
-        return _records(blocks, kind, credit)
+        return _records(blocks, kind, take, method)
     except DataError:
         for _ in texts:  # read to the end with no parse: a later bad byte is the fault named
             pass
@@ -531,8 +540,8 @@ def _read_file(path, kind: str, method: CountingMethod | None = None):
 
     Returns the records or table and, given a counting ``method``, a
     ``Counter`` of the papers each author is credited with (None without
-    one). Names go into the tally ``_TALLY_NAMES`` at a time and are
-    dropped: the records keep no ``names``. Neither the bytes nor the
+    one). :func:`_records` hands the names to the tally ``_TALLY_NAMES``
+    at a time: the records keep no ``names``. Neither the bytes nor the
     text are held whole. A record file that can seek is cut into the
     byte ranges of :func:`_ranges` and read by :func:`_read_ranges`. If
     that gives no records, or the file is one range, this process reads
@@ -542,11 +551,9 @@ def _read_file(path, kind: str, method: CountingMethod | None = None):
         kind, starts = _ranges(file, kind)
         if len(starts) > 1 and (read := _read_ranges(path, kind, method, starts)) is not None:
             return read
-        tally = None if method is None else Counter()
-        credit, flush = _crediting(method, None if tally is None else tally.update)
-        loaded = _read_texts(_file_texts(file), kind, credit)
-        flush()
-        return loaded, tally
+        tally = Counter()
+        loaded = _read_texts(_file_texts(file), kind, tally.update, method)
+        return loaded, None if method is None else tally
 
 
 def _read_ranges(path, kind: str, method: CountingMethod | None,
@@ -573,8 +580,13 @@ def _read_ranges(path, kind: str, method: CountingMethod | None,
         while waiting := {worker.stream: worker for worker in workers if not worker.done}:
             for stream in select.select(list(waiting), [], [])[0]:
                 waiting[stream].receive(tally)
-        loaded = _joined([worker.columns for worker in workers])
-        return None if loaded is None else (loaded, tally)
+        if any(worker.columns is None for worker in workers):
+            return None
+        ids, years, sizes = zip(*(worker.columns for worker in workers))
+        ids = list(chain.from_iterable(ids))  # each range's own ids are distinct
+        if len(set(ids)) != len(ids):
+            return None
+        return Corpus._of_checked(ids, np.concatenate(years), np.concatenate(sizes), None), tally
     finally:
         for worker in workers:
             worker.stop()
@@ -613,38 +625,14 @@ def _ranges(file, kind: str) -> tuple[str, list[int]]:
     return kind, starts
 
 
-def _crediting(method: CountingMethod | None, take) -> tuple:
-    """``credit(slots, starts)`` for a read, and ``flush()`` to call after its last block.
-
-    ``credit`` holds the names that ``method`` credits and hands them to
-    ``take`` ``_TALLY_NAMES`` at a time; ``flush`` hands the rest. With
-    no method nothing is credited.
-    """
-    if method is None:
-        return lambda slots, starts: None, lambda: None
-    held: list[str] = []
-
-    def flush() -> None:
-        if held:
-            take(held)
-            held.clear()
-
-    def credit(slots, starts) -> None:
-        held.extend(_credited(slots, starts, method))
-        if len(held) >= _TALLY_NAMES:
-            flush()
-
-    return credit, flush
-
-
 def _work(path, kind: str, method, start: int, end: int | None, out) -> NoReturn:
     """In a forked worker: read bytes ``start`` to ``end`` of ``path`` and send them to ``out``.
 
     Every range of a split file is read here, the first included. Each
-    batch of names that ``method`` credits goes as a ``b"N"`` message,
-    the names joined by newlines, which no cleaned name holds. Then the
-    ids, years and author counts go as one pickled ``b"C"`` message,
-    unless the range has a fault, which the parent names. The worker
+    batch of credited names that :func:`_records` hands over goes as a
+    ``b"N"`` message, the names joined by newlines, which no cleaned name
+    holds. Then the ids, years and author counts go as one pickled
+    ``b"C"`` message, unless the range has a fault, which the parent names. The worker
     leaves through ``os._exit``, never into its caller's stack or the
     stdio buffers it shares with the parent.
     """
@@ -653,14 +641,12 @@ def _work(path, kind: str, method, start: int, end: int | None, out) -> NoReturn
         with open(path, "rb") as file:
             file.seek(start)
             blocks = _line_blocks(_file_texts(file, end))
-            credit, flush = _crediting(method, lambda names: _send(
-                out, b"N", "\n".join(names).encode("utf-8", "surrogatepass")))
             try:
-                columns = _records(blocks, kind, credit)
+                columns = _records(blocks, kind, lambda names: _send(
+                    out, b"N", "\n".join(names).encode("utf-8", "surrogatepass")), method)
             except DataError:
                 columns = None
         if columns is not None:
-            flush()
             _send(out, b"C", pickle.dumps((columns.ids, columns.years, np.diff(columns.offsets)),
                                           pickle.HIGHEST_PROTOCOL))
         out.flush()
@@ -672,17 +658,6 @@ def _send(out, tag: bytes, payload: bytes) -> None:
     """Write one message of a worker: its ``_FRAME`` head, then its payload."""
     out.write(_FRAME.pack(tag, len(payload)))
     out.write(payload)
-
-
-def _joined(parts: list[tuple | None]) -> Corpus | None:
-    """The columns of the ranges in file order; None if a range has a fault or an id repeats."""
-    if any(part is None for part in parts):
-        return None
-    ids, years, sizes = zip(*parts)  # each range's own ids are distinct
-    if len(set(chain.from_iterable(ids))) != sum(map(len, ids)):
-        return None
-    return Corpus._of_checked(list(chain.from_iterable(ids)), np.concatenate(years),
-                              np.concatenate(sizes), None)
 
 
 class _Worker:

@@ -10,14 +10,14 @@ author proportions sum to one:
 
 The series is the zeta function at n. It is evaluated here with a short
 partial sum plus an Euler-Maclaurin tail correction, which is cheap and
-accurate to better than 1e-8 for n >= 1.5; a plain partial sum of a
-given number of terms is the slower cross-check.
+accurate to better than 1e-8 for n >= 1.5; the law truncated at a given
+number of terms adds at most 10^6 of them, then takes the same tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from math import inf
+from math import expm1, inf, log
 
 import numpy as np
 
@@ -106,37 +106,42 @@ def fit_exponent_lsq(
     return LotkaFit(n=-slope, intercept=intercept, sums=sums)
 
 
-def _zeta_euler_maclaurin(n: float) -> float:
-    head = _partial_power_sum(n, EULER_MACLAURIN_CUTOFF - 1)
-    p = float(EULER_MACLAURIN_CUTOFF)
-    tail = p ** (1.0 - n) / (n - 1.0) + 0.5 * p**-n + n * p ** (-n - 1.0) / 12.0
-    return head + tail
+def _power_sum(n: float, limit: int | None) -> float:
+    """The sum of x**-n for x = 1..limit, or zeta(n) for None: the first terms exactly, then T.
 
-
-def _partial_power_sum(n: float, limit: int) -> float:
-    _require_int("sum limit", limit, 1)
-    total = 0.0
-    chunk = 1_000_000
-    for start in range(1, limit + 1, chunk):
-        stop = min(start + chunk, limit + 1)
-        total += float((np.arange(start, stop, dtype=np.float64) ** -n).sum())
-    return total
+    T(p), the Euler-Maclaurin sum from x = p on, is ``T(20)`` for zeta,
+    and a limit's terms past 10^6 are ``T(10**6 + 1) - T(limit + 1)``,
+    the leading term differenced with ``expm1``: at n near 1 each T is
+    some 1e5 times the difference.
+    """
+    head = EULER_MACLAURIN_CUTOFF - 1 if limit is None else min(limit, 10**6)  # terms added exactly
+    total = float((np.arange(1, head + 1, dtype=np.float64) ** -n).sum())
+    p = float(head + 1)
+    if limit is None:
+        return total + (p ** (1.0 - n) / (n - 1.0) + 0.5 * p**-n + n * p ** (-n - 1.0) / 12.0)
+    q = float(limit + 1)  # for a limit up to 10^6, q == p and the tail adds exactly 0.0
+    return total + (-(p ** (1.0 - n)) * expm1((1.0 - n) * log(q / p)) / (n - 1.0)
+                    + 0.5 * (p**-n - q**-n) + n * (p ** (-n - 1.0) - q ** (-n - 1.0)) / 12.0)
 
 
 def compute_constant(n: float, limit: int | None = None) -> float:
     """Normalizing constant C = 1/zeta(n).
 
-    With ``limit`` None, zeta comes from Euler-Maclaurin; an integer divides
-    by the partial sum of ``limit`` terms, the law truncated at x = limit,
-    which undershoots zeta by about ``limit**(1-n)/(n-1)``.
+    With ``limit`` None, zeta comes from Euler-Maclaurin; an integer below
+    2^63 divides by the sum of ``limit`` terms (those past 10^6 from the
+    tail), the law truncated at x = limit, which undershoots zeta by about
+    ``limit**(1-n)/(n-1)``.
     """
     if not n > 1.0 + 1e-6:  # NaN fails too
         raise NumericError(f"series diverges: exponent must exceed 1, got {n}")
     if n == inf:
         raise NumericError(f"exponent must be finite, got {n}")
-    if limit is None:
-        return 1.0 / _zeta_euler_maclaurin(n)
-    return 1.0 / _partial_power_sum(n, limit)
+    if limit is not None:
+        _require_int("sum limit", limit, 1)
+        limit = int(limit)  # a numpy integer would wrap at limit + 1
+        if limit >= 2**63:
+            raise DataError(f"sum limit {limit} does not fit in 64 bits")
+    return 1.0 / _power_sum(n, limit)
 
 
 def fit_power_law(

@@ -867,6 +867,8 @@ USAGE_ERRORS = [
     (["report", "--preset", "paper", "--c-method", "sum:x"],
      "bad --c-method 'sum:x'; expected 'zeta' or 'sum:<terms>'"),
     (["fit", "--c-method", "sum:0"], "--c-method sum:<terms> needs at least one term"),
+    (["fit", "--c-method", "sum:9223372036854775808"],
+     "--c-method sum:<terms> takes fewer than 2^63 terms"),
     (["fit", "--c-digits", "x"], "bad --c-digits 'x'; expected an integer or 'full'"),
     (["fit", "--c-digits", "-1"], "--c-digits must be >= 0"),
     (["ks", "--c-digits", "-1", "--preset", "paper"], "--c-digits must be >= 0"),

@@ -230,6 +230,39 @@ def test_constant_limit_must_be_an_integer(limit):
         compute_constant(2.0, limit)
 
 
+def _exact_sum(n: float, start: int, stop: int) -> float:
+    """The sum of x**-n for x in [start, stop), every term added, at most 10^6 at a time."""
+    total = 0.0
+    for first in range(start, stop, 1_000_000):
+        total += float((np.arange(first, min(first + 1_000_000, stop), dtype=np.float64) ** -n).sum())
+    return total
+
+
+@pytest.mark.parametrize("n", [1.000002, 1.5, 2.54, 4.0, 10.0])
+def test_constant_adds_the_first_million_terms_exactly(n):
+    for limit in (1, 2, 19, 20, 114, 65_537, 999_999, 1_000_000):
+        assert compute_constant(n, limit) == 1.0 / _exact_sum(n, 1, limit + 1)
+
+
+@pytest.mark.parametrize("n", [1.000002, 1.01, 2.54, 4.0])
+def test_constant_past_a_million_terms_takes_the_tail(n):
+    """Terms past 10^6 come from the Euler-Maclaurin tail, differenced with no cancellation."""
+    head = _exact_sum(n, 1, 1_000_001)
+    for limit in (1_000_001, 1_000_002, 1_234_567, 3_000_001, 10_000_000):
+        exact = 1.0 / (head + _exact_sum(n, 1_000_001, limit + 1))
+        assert compute_constant(n, limit) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_constant_takes_a_sum_of_any_64_bit_length():
+    for n in (1.000002, 2.54):
+        assert compute_constant(n) <= compute_constant(n, 10**14) <= compute_constant(n, 10**7)
+    # a numpy limit is read as a Python int, so limit + 1 cannot wrap
+    assert compute_constant(2.0, np.int64(2**63 - 1)) == compute_constant(2.0, 2**63 - 1)
+    for limit in (2**63, 10**400):
+        with pytest.raises(DataError, match=rf"^sum limit {limit} does not fit in 64 bits$"):
+            compute_constant(2.0, limit)
+
+
 def test_constant_limit_alone_picks_the_evaluation(cad_distribution):
     # None is the zeta series; a count is the partial sum, also inside a fit
     assert compute_constant(2.0, None) == compute_constant(2.0)
