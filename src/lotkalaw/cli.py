@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import asdict
 from math import log10
+from operator import itemgetter
 from pathlib import Path
 
 from .collab import authorship_pattern, collab_metrics, render_pattern_csv
@@ -239,13 +240,39 @@ def _ks_for(args: argparse.Namespace, dist: ProductivityDistribution):
     return fit, result, doc
 
 
-def _ks_rows(result) -> list[dict]:
-    """One plain dict per K-S level, keyed by the column names."""
-    return [dict(zip(result.rows.dtype.names, row)) for row in result.rows.tolist()]
+def _json_doc(doc: dict, **rows: str) -> str:
+    """``json.dumps({**doc, **rows}, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    Each of ``rows`` is a wide list already written by :func:`_json_rows`,
+    since ``indent`` makes ``json`` take its pure-Python encoder. Every
+    top-level value is written on its own and joined in key order, so no
+    text is searched for a place to splice, and no input string can move
+    one.
+    """
+    texts = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+             for key, value in doc.items()}  # json escapes a newline in a string
+    texts.update(rows)
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts)) \
+        + "\n}\n"
 
 
-def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _json_rows(rows: list[tuple], names: tuple[str, ...] | None = None) -> str:
+    """At least one row, laid out as :func:`_json_doc` lays out a top-level list.
+
+    A row is an object keyed by ``names``, or an array if ``names`` is
+    None, and one template writes them all. Every value must be an int
+    or a finite float, whose ``%r`` is its ``json`` text; K-S rows and
+    their logs hold nothing else.
+    """
+    width = len(rows[0])
+    if names is None:
+        template = "    [\n" + ",\n".join(["      %r"] * width) + "\n    ]"
+    else:
+        order = sorted(range(width), key=names.__getitem__)
+        template = "    {\n" + ",\n".join(f"      {json.dumps(names[i])}: %r" for i in order) \
+            + "\n    }"
+        rows = map(itemgetter(*order), rows)
+    return "[\n" + ",\n".join([template % row for row in rows]) + "\n  ]"
 
 
 def _metric_lines(pairs) -> str:
@@ -279,7 +306,8 @@ def cmd_ks(args: argparse.Namespace) -> str:
     dist, _ = _distribution_for(args)
     fit, result, doc = _ks_for(args, dist)
     if args.output_format == "json":
-        return _json_doc({"fit": fit.to_dict(), "result": doc, "rows": _ks_rows(result)})
+        rows = _json_rows(result.rows.tolist(), result.rows.dtype.names)
+        return _json_doc({"fit": fit.to_dict(), "result": doc}, rows=rows)
     summary = [("n", fit.n), ("c", fit.c), ("intercept", fit.intercept)]
     summary += doc.items()
     return render_report_csv(result.rows) + "\nmetric,value\n" + _metric_lines(summary)
@@ -300,18 +328,18 @@ def cmd_pattern(args: argparse.Namespace) -> str:
 def cmd_report(args: argparse.Namespace) -> str:
     dist, records = _distribution_for(args)
     fit, result, ks_doc = _ks_for(args, dist)
-    ks_rows = _ks_rows(result)
-    plot_rows = [
-        [log10(row["x"]), log10(row["y"]), log10(row["expected_proportion"] * result.total_authors)]
-        for row in ks_rows
-    ]
+    rows = result.rows
+    xs, ys, expected = (rows[name].tolist() for name in ("x", "y", "expected_proportion"))
+    if 0.0 in expected:
+        raise NumericError(f"expected count at x={xs[expected.index(0.0)]} underflows to zero, "
+                           "so its log10 cannot be plotted")
+    plot_rows = [(log10(x), log10(y), log10(p * result.total_authors))
+                 for x, y, p in zip(xs, ys, expected)]
     doc = {
         "input": {"path": args.input, "counting": args.counting if records is not None else None},
         "distribution": dist.to_dict(),
         "fit": fit.to_dict(),
         "ks": ks_doc,
-        "ks_rows": ks_rows,
-        "plot_data": plot_rows,
         "pattern": None,
         "collaboration": None,
     }
@@ -326,7 +354,8 @@ def cmd_report(args: argparse.Namespace) -> str:
             Path(args.plot_out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot write {args.plot_out}: {exc.strerror}") from None
-    return _json_doc(doc)
+    return _json_doc(doc, ks_rows=_json_rows(rows.tolist(), rows.dtype.names),
+                     plot_data=_json_rows(plot_rows))
 
 
 # name -> (help, function, flag groups added after the input flags, in help order)

@@ -592,6 +592,11 @@ def _read_ranges(path, kind: str, method: CountingMethod | None,
             worker.stop()
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on: 1 where the system cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _ranges(file, kind: str) -> tuple[str, list[int]]:
     """The kind of input a file holds, and the start of each byte range to read it in.
 
@@ -602,10 +607,10 @@ def _ranges(file, kind: str) -> tuple[str, list[int]]:
     table, a file that cannot seek or a system with no ``fork`` is one
     range, and ``"auto"`` is sniffed only for a file large enough to cut.
     """
-    if not (file.seekable() and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if not (file.seekable() and hasattr(os, "fork")):
         return kind, [0]
     size = os.fstat(file.fileno()).st_size
-    count = min(len(os.sched_getaffinity(0)), size // _SPLIT_BYTES)
+    count = min(_cpus(), size // _SPLIT_BYTES)
     starts = [0]
     if count > 1 and kind == "auto":
         try:

@@ -8,11 +8,12 @@ that draws authors independently and is bit-reproducible from its seed.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ProductivityDistribution
+from .corpus import ProductivityDistribution, _cpus
 from .errors import DataError, NumericError, _require_int
 
 __all__ = [
@@ -82,25 +83,64 @@ def sample_distribution(spec: SynthSpec) -> ProductivityDistribution:
     of each ``u`` into ``cdf`` gives. The code draws ``u`` a block at a
     time, sorts each block and adds up the uniforms below each CDF edge;
     successive draws give the doubles that one draw gives, so the block
-    size never changes the table. PCG64's bit stream and the
-    uniform-double conversion are stable across platforms and numpy
-    releases, so one spec always yields one table.
+    size never changes the table. The blocks are counted in one
+    contiguous run per CPU this process may run on, each run in its own
+    thread from a generator jumped ahead to the run's first uniform, and
+    the runs' integer counts are summed, so the table is the same for
+    any CPU count. Every thread has ended when the call returns or
+    raises. PCG64's bit stream and the uniform-double conversion are
+    stable across platforms and numpy releases, so one spec always
+    yields one table.
     """
     cdf = np.cumsum(truncated_probabilities(spec.n, spec.x_max))
     cdf[-1] = 1.0
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
     block = max(_BLOCK_UNIFORMS, _BLOCK_UNIFORMS * int(spec.x_max) >> 12)  # no int32 overflow
-    for done in range(0, spec.author_count, block):
-        u = rng.random(min(block, spec.author_count - done))
+    author_count = int(spec.author_count)  # PCG64.advance overflows on any numpy integer
+    blocks = -(-author_count // block)
+    runs = min(_cpus(), blocks)
+    starts = [blocks * k // runs * block for k in range(runs)] + [author_count]
+    parts = [None] * runs  # each run's count below the edges, or what it raised
+
+    def count(k: int) -> None:
+        try:
+            parts[k] = _count_below(spec.seed, cdf, block, starts[k], starts[k + 1])
+        except BaseException as exc:  # raised once every run has ended
+            parts[k] = exc
+
+    threads = [threading.Thread(target=count, args=(k,)) for k in range(1, runs)]
+    try:
+        for thread in threads:
+            thread.start()
+        count(0)  # on the calling thread
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    below = parts[0]
+    for part in parts[1:]:
+        below += part
+    counts = np.diff(below, prepend=0)
+    return ProductivityDistribution(_points(counts), provenance=f"sampled:seed={spec.seed}")
+
+
+def _count_below(seed: int, cdf: np.ndarray, block: int, start: int, stop: int) -> np.ndarray:
+    """How many of uniforms ``start`` to ``stop`` of the seed's stream lie below each CDF edge."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(start)  # a double takes one 64-bit output
+    rng = np.random.Generator(bit_generator)
+    for done in range(start, stop, block):
+        u = rng.random(min(block, stop - done))
         u.sort()
         found = np.searchsorted(u, cdf, side="left")
-        if done:
+        if done > start:
             below += found
         else:  # the count starts from the first block's search, with no zeroed array
             below = found
         del u  # before the next block is drawn
-    counts = np.diff(below, prepend=0)
-    return ProductivityDistribution(_points(counts), provenance=f"sampled:seed={spec.seed}")
+    return below
 
 
 def exact_distribution(n: float, author_count: int, x_max: int) -> ProductivityDistribution:

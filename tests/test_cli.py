@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from itertools import cycle
+from math import log10
 from pathlib import Path
 from unittest import mock
 
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotkalaw import (PublicationRecord, authorship_pattern, collab_metrics, count_productivity,
-                      dump_distribution, dump_records, exact_distribution, parse_records,
-                      read_input)
+from lotkalaw import (ProductivityDistribution, PublicationRecord, SynthSpec, authorship_pattern,
+                      collab_metrics, compute_constant, count_productivity, dump_distribution,
+                      dump_records, exact_distribution, parse_records, read_input, run_ks,
+                      sample_distribution)
 from lotkalaw import cli, corpus, gof
 from lotkalaw.cli import main
 
@@ -397,6 +399,39 @@ def test_report_runs_are_byte_identical(capsys, tmp_path):
     assert plot_a.read_bytes() == plot_b.read_bytes()
 
 
+_PATHS = st.one_of(st.text(), st.sampled_from([
+    '",\n  "ks_rows": [],\n  "x": "', "plot_data", '"plot_data": [', "%r", "\n  ]\n}\n"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.floats(1.01, 1.6), st.integers(0, 2**64 - 1), st.integers(1, 4000), st.booleans(),
+       _PATHS)
+def test_a_document_with_wide_rows_is_what_json_dumps_writes(n, seed, levels, dense, path):
+    # the K-S rows of the first 1 to 4,000 levels of a sampled table, written
+    # from one template per row, beside an input path that reads like one
+    sampled = sample_distribution(SynthSpec(n, 2 * 10**5, 10**4, seed))
+    dist = ProductivityDistribution(sampled.points[:levels])
+    result = run_ks(dist, n, compute_constant(n), 1.63, dense_expected=dense)
+    rows, names = result.rows.tolist(), result.rows.dtype.names
+    plot = [(log10(x), log10(y), log10(p * result.total_authors))
+            for x, y, p in zip(result.rows.x.tolist(), result.rows.y.tolist(),
+                               result.rows.expected_proportion.tolist())]
+    doc = {"input": {"path": path, "counting": None}, "distribution": dist.to_dict(),
+           "ks": result.to_dict(), "pattern": None}
+    expected = json.dumps({**doc, "ks_rows": [dict(zip(names, row)) for row in rows],
+                           "plot_data": [list(row) for row in plot]},
+                          sort_keys=True, indent=2) + "\n"
+    written = cli._json_doc(doc, ks_rows=cli._json_rows(rows, names),
+                            plot_data=cli._json_rows(plot))
+    # compared as lists of lines: pytest's diff of two long strings takes minutes
+    assert written.split("\n") == expected.split("\n")
+    ks_doc = {"fit": {}, "result": {}}
+    written = cli._json_doc(ks_doc, rows=cli._json_rows(rows, names))
+    expected = json.dumps({**ks_doc, "rows": [dict(zip(names, row)) for row in rows]},
+                          sort_keys=True, indent=2) + "\n"
+    assert written.split("\n") == expected.split("\n")
+
+
 def test_report_requires_threshold(capsys):
     code, out, err = run(capsys, "report", "--input", CAD)
     assert code == 1 and out == ""
@@ -474,6 +509,21 @@ def test_increasing_table_exits_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "not negative" in err
+
+
+def test_an_expected_count_that_underflows_exits_3(capsys, tmp_path):
+    # n fitted on x <= 2 is about 59.8, so the expected count at x = 10^6 is
+    # 0.0; its log10 once crashed the plot rows with a ValueError traceback
+    path = tmp_path / "steep.csv"
+    path.write_text("x,y\n1,1000000000000000000\n2,1\n1000000,1\n")
+    plot = tmp_path / "plot.csv"
+    flags = ("--input", str(path), "--preset", "paper", "--truncate-x", "2")
+    code, out, err = run(capsys, "report", *flags, "--plot-out", str(plot))
+    assert code == 3
+    assert out == ""
+    assert "x=1000000" in err and "underflows" in err
+    assert not plot.exists()
+    assert run(capsys, "ks", *flags)[0] == 0
 
 
 def test_byte_order_mark_is_dropped(capsys, tmp_path):

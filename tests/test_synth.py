@@ -1,6 +1,8 @@
 """Synthetic draws: determinism, law fidelity, estimator calibration."""
 
+import os
 import re
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -23,7 +25,8 @@ from lotkalaw import (
     sample_distribution,
     truncated_probabilities,
 )
-from lotkalaw import synth
+from lotkalaw import corpus, synth
+from lotkalaw.corpus import CountingMethod
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +181,25 @@ def test_sample_matches_the_bisect_contract(n, author_count, x_max, seed):
     st.integers(2, 3000),
     st.integers(0, 2**64 - 1),
     st.integers(1, 64),
+    st.sampled_from([1, 2, 3, 7]),
 )
-def test_a_draw_in_many_blocks_matches_the_bisect_contract(n, author_count, x_max, seed, block):
+def test_a_draw_in_many_blocks_matches_the_bisect_contract(n, author_count, x_max, seed, block,
+                                                            cpus):
+    # each CPU counts one run of blocks, from a generator advanced to its start
     spec = SynthSpec(n, author_count, x_max, seed)
-    with mock.patch.object(synth, "_BLOCK_UNIFORMS", block):
+    with mock.patch.object(synth, "_BLOCK_UNIFORMS", block), \
+            mock.patch.object(synth, "_cpus", lambda: cpus):
         assert sample_distribution(spec).points == _bisect_table(spec)
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
 @pytest.mark.parametrize(
     "spec",
     [
         SynthSpec(2.0, 1, 2, 0),
-        SynthSpec(2.0, 3 * 2**16 + 5, 100, 5),  # three whole blocks and a partial one
+        # three whole blocks and a partial one: fewer blocks than 7 CPUs
+        SynthSpec(2.0, 3 * 2**16 + 5, 100, 5),
+        SynthSpec(2.0, 2**16 + 1, 100, 6),  # one whole block and one uniform
         SynthSpec(3.0, 7, 3, 1),
         SynthSpec(1.05, 2000, 10**5, 2),  # wide, sparse support
         # cumsum reaches 1.0 at level 99,949: the pinned CDF is not
@@ -198,10 +208,11 @@ def test_a_draw_in_many_blocks_matches_the_bisect_contract(n, author_count, x_ma
         SynthSpec(4.0, 3000, 10**6, 4),  # the last probability is 0.0
         SynthSpec(2.0, 1000, 50, 2**64 - 1),
     ],
-    ids=["one-author", "three-blocks-and-5", "x_max-3", "sparse-1e5", "cdf-not-monotone",
-         "last-p-zero", "max-seed"],
+    ids=["one-author", "three-blocks-and-5", "a-block-and-1", "x_max-3", "sparse-1e5",
+         "cdf-not-monotone", "last-p-zero", "max-seed"],
 )
-def test_sample_matches_the_bisect_contract_on_edges(spec):
+def test_sample_matches_the_bisect_contract_on_edges(monkeypatch, spec, cpus):
+    monkeypatch.setattr(synth, "_cpus", lambda: cpus)
     points = sample_distribution(spec).points
     assert points == _bisect_table(spec)
     assert sum(y for _, y in points) == spec.author_count
@@ -217,8 +228,10 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_a_narrow_draw_holds_a_few_blocks_of_uniforms_not_all_of_them():
-    # all 2e6 uniforms at once took 16.0 MB
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_narrow_draw_holds_a_few_blocks_of_uniforms_not_all_of_them(monkeypatch, cpus):
+    # all 2e6 uniforms at once took 16.0 MB; each run holds one block at a time
+    monkeypatch.setattr(synth, "_cpus", lambda: cpus)
     peak = _traced_peak(lambda: sample_distribution(SynthSpec(2.0, 2_000_000, 100, 0)))
     assert peak < 4 * 8 * synth._BLOCK_UNIFORMS
 
@@ -229,6 +242,57 @@ def test_a_draw_as_wide_as_its_support_holds_less_than_a_draw_in_one_call():
     # starts from a zeroed array of 8 bytes per level
     peak = _traced_peak(lambda: sample_distribution(SynthSpec(1.05, 10**6, 10**6, 0)))
     assert peak < 64 * 10**6
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 7])
+def test_no_thread_outlives_a_draw_in_many_runs(monkeypatch, cpus):
+    monkeypatch.setattr(synth, "_cpus", lambda: cpus)
+    started = mock.Mock(wraps=threading.Thread)
+    monkeypatch.setattr(threading, "Thread", started)
+    before = threading.active_count()
+    spec = SynthSpec(2.0, 5 * 2**16, 100, 7)
+    assert sample_distribution(spec).points == _bisect_table(spec)
+    # one run per CPU, at most one per block; the calling thread counts the first
+    assert started.call_count == min(cpus, 5) - 1
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_run_that_fails_raises_once_every_run_has_ended(monkeypatch, failing):
+    monkeypatch.setattr(synth, "_cpus", lambda: 3)
+    count_below = synth._count_below
+    ended = []
+
+    def count_or_fail(seed, cdf, block, start, stop):
+        if start == failing * 2 * block:  # six blocks, two to a run
+            raise MemoryError("no room for a block")
+        below = count_below(seed, cdf, block, start, stop)
+        ended.append(start)
+        return below
+
+    monkeypatch.setattr(synth, "_count_below", count_or_fail)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room for a block"):
+        sample_distribution(SynthSpec(2.0, 6 * 2**16, 100, 8))
+    assert len(ended) == 2
+    assert threading.active_count() == before
+
+
+def test_a_split_read_right_after_a_draw_in_many_runs_forks_its_workers(monkeypatch, tmp_path):
+    # no sampler thread is left for the fork to find
+    monkeypatch.setattr(synth, "_cpus", lambda: 3)
+    before = threading.active_count()
+    sample_distribution(SynthSpec(2.0, 6 * 2**16, 100, 9))
+    assert threading.active_count() == before
+    monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = mock.Mock(wraps=corpus._Worker)
+    monkeypatch.setattr(corpus, "_Worker", forked)
+    path = tmp_path / "records.psv"
+    path.write_text("".join(f"P{i}|2000|Author {i}\n" for i in range(300)), encoding="utf-8")
+    loaded, tally = corpus._read_file(path, "pipe", CountingMethod.COMPLETE)
+    assert len(loaded) == len(tally) == 300
+    assert forked.call_count == 2
 
 
 def test_sample_gives_a_uniform_on_a_cdf_edge_to_the_level_above(monkeypatch):
