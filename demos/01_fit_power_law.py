@@ -15,15 +15,15 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 
 def main() -> None:
     dist = load_distribution((DATA / "cad_productivity.csv").read_bytes())
-    print(f"{len(dist.points)} productivity levels, "
+    print(f"{len(dist.xs)} productivity levels, "
           f"{dist.total_authors} authors, {dist.total_contributions} credits")
     print()
 
     print(f"{'x':>4} {'y':>6} {'log10 x':>9} {'log10 y':>9} {'XY':>9} {'X^2':>9}")
-    for x, y in dist.points[:10]:
+    for x, y in zip(dist.xs[:10].tolist(), dist.ys[:10].tolist()):
         lx, ly = math.log10(x), math.log10(y)
         print(f"{x:>4} {y:>6} {lx:>9.4f} {ly:>9.4f} {lx * ly:>9.4f} {lx * lx:>9.4f}")
-    print(f"... {len(dist.points) - 10} more rows")
+    print(f"... {len(dist.xs) - 10} more rows")
     print()
 
     fit = fit_power_law(dist)

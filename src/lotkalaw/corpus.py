@@ -202,67 +202,80 @@ class Corpus(Sequence):
 _BOOLS = (bool, np.bool_)  # int() takes them, but a bool is no count
 
 
-@dataclass(frozen=True)
+def _int_rows(rows) -> np.ndarray:
+    """Whole-number rows as an (n, 2) int64 array, or object array if a value is past 64 bits."""
+    try:
+        return np.asarray(rows, np.int64).reshape(-1, 2)
+    except OverflowError:  # the column check names its row
+        return np.array(rows, object).reshape(-1, 2)
+
+
+@dataclass(frozen=True, init=False)
 class ProductivityDistribution:
-    """Frequency table of author productivity.
+    """Frequency table of author productivity, stored as two int64 columns.
 
-    ``points`` holds whole ``(x, y)`` pairs, strictly increasing positive
+    ``points`` gives whole ``(x, y)`` rows, strictly increasing positive
     ``x`` and positive ``y``; gaps in ``x`` mean zero authors there. A
-    whole float or a numpy row will do; a bool is refused.
-    ``provenance`` says where the table came from (loaded file, counted
-    corpus, synthetic draw) and never affects any computation.
+    signed integer ``(n, 2)`` array is checked with no Python work per
+    row; pairs, whole floats, numpy rows and generators will do, but no
+    bool. ``provenance`` says where the table came from and alters no result.
 
-    Built once at construction: the read-only int64 columns ``xs`` and
-    ``ys``, ``total_authors`` (sum of y: how many distinct authors were
-    tallied) and ``total_contributions`` (sum of x*y: how many credits
-    the tallied authors hold together), both exact. A table whose sum of
-    x*y reaches 2^63 raises :class:`DataError`.
+    Built once: the read-only columns ``xs`` and ``ys``, ``total_authors``
+    (sum of y) and ``total_contributions`` (sum of x*y), both exact. Any
+    fault, such as a sum of x*y that reaches 2^63, raises DataError naming
+    the first bad row. ``points`` is read back from the columns.
     """
 
-    points: tuple[tuple[int, int], ...]
-    provenance: str = "loaded"
-    xs: np.ndarray = field(init=False, repr=False, compare=False)
-    ys: np.ndarray = field(init=False, repr=False, compare=False)
-    total_authors: int = field(init=False, repr=False, compare=False)
-    total_contributions: int = field(init=False, repr=False, compare=False)
+    xs: np.ndarray
+    ys: np.ndarray
+    provenance: str
+    total_authors: int = field(repr=False)
+    total_contributions: int = field(repr=False)
 
-    def __post_init__(self) -> None:
-        pts, prev, authors, contributions = [], 0, 0, 0
-        try:
-            rows = iter(self.points)
-        except TypeError:
-            raise DataError(f"distribution points must be an iterable of (x, y) pairs, "
-                            f"got {self.points!r}") from None
-        for row in rows:
+    def __init__(self, points, provenance: str = "loaded") -> None:
+        if not (isinstance(points, np.ndarray) and points.dtype.kind == "i" and points.shape[1:] == (2,)):
             try:
-                gx, gy = row
-            except (TypeError, ValueError):  # not iterable, or not two items
-                raise DataError(f"distribution row must be an (x, y) pair, got {row!r}") from None
-            try:
-                x, y = int(gx), int(gy)
-            except (TypeError, ValueError, OverflowError):  # None, a string, NaN, infinity
-                x = y = None
-            if x is None or x != gx or y != gy or isinstance(gx, _BOOLS) or isinstance(gy, _BOOLS):
-                raise DataError(f"x and y must be whole numbers, got x={gx}, y={gy}")
-            if x <= prev:
-                raise DataError(f"x values must be strictly increasing and >= 1, got {x}")
-            if y < 1:
-                raise DataError(f"count for x={x} must be >= 1; omit zero rows")
-            authors, contributions = authors + y, contributions + x * y
-            if contributions >= 2**63:  # it bounds x, y and authors too
-                raise DataError(f"x and y must be whole numbers, got x={x}, y={y}, "
-                                f"which take the sum of x*y to {contributions}, past 64 bits")
-            pts.append((x, y))
-            prev = x
-        if not pts:
+                rows, points = iter(points), []
+            except TypeError:
+                raise DataError(f"distribution points must be an iterable of (x, y) pairs, "
+                                f"got {points!r}") from None
+            for row in rows:
+                try:
+                    gx, gy = row
+                except (TypeError, ValueError):  # not iterable, or not two items
+                    raise DataError(f"distribution row must be an (x, y) pair, got {row!r}") from None
+                try:
+                    x, y = int(gx), int(gy)
+                except (TypeError, ValueError, OverflowError):  # None, a string, NaN, infinity
+                    x = y = None
+                if x is None or x != gx or y != gy or isinstance(gx, _BOOLS) or isinstance(gy, _BOOLS):
+                    raise DataError(f"x and y must be whole numbers, got x={gx}, y={gy}")
+                points.append((x, y))
+        xs, ys = _int_rows(points).T.copy()
+        if not len(xs):
             raise DataError("distribution has no rows")
-        object.__setattr__(self, "points", tuple(pts))
-        xs, ys = np.array(pts, np.int64).T.copy()
+        if not (ok := (xs > np.append(0, xs[:-1])) & (ys >= 1)).all():
+            i = int(ok.argmin())
+            raise DataError(f"x values must be strictly increasing from 1 and counts >= 1 (omit zero "
+                            f"rows), got x={xs[i]}, y={ys[i]} at points[{i}]")
+        # the float64 sum errs by under n * 2^-53 of itself: below 2^62, the int64 sum is exact
+        near = xs.dtype == object or xs @ ys.astype(float) >= 2**62
+        sums = np.cumsum(xs.astype(object) * ys) if near else [int(xs @ ys)]
+        if sums[-1] >= 2**63:  # it bounds x, y and the sum of y too
+            i = int(np.argmax(sums >= 2**63))
+            raise DataError(f"x and y must be whole numbers, got x={xs[i]}, y={ys[i]} at points[{i}], "
+                            f"which take the sum of x*y to {sums[i]}, past 64 bits")
         xs.flags.writeable = ys.flags.writeable = False
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "total_authors", authors)
-        object.__setattr__(self, "total_contributions", contributions)
+        vars(self).update(xs=xs, ys=ys, provenance=provenance, total_authors=int(ys.sum()),
+                          total_contributions=int(sums[-1]))  # frozen: no __setattr__
+
+    points = property(lambda self: tuple(zip(self.xs.tolist(), self.ys.tolist())))  # Python-int pairs
+
+    def __eq__(self, other) -> bool:  # equal documents
+        return self.to_dict() == other.to_dict() if isinstance(other, ProductivityDistribution) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.provenance, self.xs.tobytes(), self.ys.tobytes()))
 
     def to_dict(self) -> dict:
         return {
@@ -758,8 +771,8 @@ def _distribution_of(tally: Counter, method: CountingMethod) -> ProductivityDist
     """The frequency table of the credits per author in ``tally``."""
     if not tally:  # every record credits a name
         raise DataError("empty corpus: no records to count")
-    points = tuple(sorted(Counter(tally.values()).items()))
-    return ProductivityDistribution(points, provenance=f"counted:{method.value}")
+    levels = np.unique(np.fromiter(tally.values(), np.int64, len(tally)), return_counts=True)
+    return ProductivityDistribution(np.column_stack(levels), provenance=f"counted:{method.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -800,10 +813,7 @@ def _table_of(blocks: Iterable[list[str]]) -> ProductivityDistribution:
             )
         seen_x[x] = lineno
         rows.append((x, y))
-    if not rows:
-        raise DataError("distribution file has no rows")
-    rows.sort()
-    return ProductivityDistribution(tuple(rows), provenance="loaded")
+    return ProductivityDistribution(_int_rows(sorted(rows)), provenance="loaded")
 
 
 def dump_distribution(dist: ProductivityDistribution) -> str:

@@ -53,10 +53,10 @@ def _validate_law(n: float, x_max: int) -> None:
         raise DataError(f"exponent must exceed 1, got {n}")
 
 
-def _points(counts: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """(x, count) rows of the positive entries; ``counts[i]`` is level i + 1."""
+def _points(counts: np.ndarray) -> np.ndarray:
+    """The (x, count) rows of the positive entries, an (n, 2) array; ``counts[i]`` is level i + 1."""
     idx = np.flatnonzero(counts > 0)
-    return tuple(zip((idx + 1).tolist(), counts[idx].tolist()))
+    return np.column_stack((idx + 1, counts[idx]))
 
 
 def truncated_probabilities(n: float, x_max: int) -> np.ndarray:
@@ -157,7 +157,7 @@ def exact_distribution(n: float, author_count: int, x_max: int) -> ProductivityD
         raise DataError(f"author_count {author_count} is too large: an expected count "
                         "reaches 2^63, past 64 bits")
     points = _points(expected.astype(np.int64))
-    if not points:
+    if not len(points):
         raise NumericError(
             "all expected counts round to zero; increase author_count or the exponent"
         )

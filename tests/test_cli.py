@@ -13,8 +13,9 @@ from math import log10
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from lotkalaw import (ProductivityDistribution, PublicationRecord, SynthSpec, authorship_pattern,
@@ -403,14 +404,18 @@ _PATHS = st.one_of(st.text(), st.sampled_from([
     '",\n  "ks_rows": [],\n  "x": "', "plot_data", '"plot_data": [', "%r", "\n  ]\n}\n"]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.floats(1.01, 1.6), st.integers(0, 2**64 - 1), st.integers(1, 4000), st.booleans(),
+# no explain phase: it reran a failure that had shrunk in under a second
+# about 400 times, some at 4,000 levels, for 80 s or more
+@settings(derandomize=True, deadline=None, max_examples=60,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(st.integers(1, 4000), st.booleans(), st.floats(1.01, 1.6), st.integers(0, 2**64 - 1),
        _PATHS)
-def test_a_document_with_wide_rows_is_what_json_dumps_writes(n, seed, levels, dense, path):
+def test_a_document_with_wide_rows_is_what_json_dumps_writes(levels, dense, n, seed, path):
     # the K-S rows of the first 1 to 4,000 levels of a sampled table, written
-    # from one template per row, beside an input path that reads like one
+    # from one template per row, beside an input path that reads like one.
+    # The level count is drawn first, so a failure shrinks it first.
     sampled = sample_distribution(SynthSpec(n, 2 * 10**5, 10**4, seed))
-    dist = ProductivityDistribution(sampled.points[:levels])
+    dist = ProductivityDistribution(np.column_stack((sampled.xs, sampled.ys))[:levels])
     result = run_ks(dist, n, compute_constant(n), 1.63, dense_expected=dense)
     rows, names = result.rows.tolist(), result.rows.dtype.names
     plot = [(log10(x), log10(y), log10(p * result.total_authors))

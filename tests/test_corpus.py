@@ -10,11 +10,12 @@ import time
 import tracemalloc
 import warnings
 from collections import Counter
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lotkalaw import (
@@ -1154,6 +1155,175 @@ def test_distribution_columns_are_built_once_and_read_only():
     with pytest.raises(ValueError):
         dist.ys[0] = 7
     assert dist == ProductivityDistribution(((1, 3), (4, 2)), provenance="loaded")
+
+
+def _row_loop(points):
+    """The row-by-row check a distribution ran before it kept only columns: the oracle.
+
+    Returns ``(points, total_authors, total_contributions)`` or raises
+    :class:`DataError`, as that constructor did.
+    """
+    bools = (bool, np.bool_)
+    pts, prev, authors, contributions = [], 0, 0, 0
+    try:
+        rows = iter(points)
+    except TypeError:
+        raise DataError(f"distribution points must be an iterable of (x, y) pairs, "
+                        f"got {points!r}") from None
+    for row in rows:
+        try:
+            gx, gy = row
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise DataError(f"distribution row must be an (x, y) pair, got {row!r}") from None
+        try:
+            x, y = int(gx), int(gy)
+        except (TypeError, ValueError, OverflowError):  # None, a string, NaN, infinity
+            x = y = None
+        if x is None or x != gx or y != gy or isinstance(gx, bools) or isinstance(gy, bools):
+            raise DataError(f"x and y must be whole numbers, got x={gx}, y={gy}")
+        if x <= prev:
+            raise DataError(f"x values must be strictly increasing and >= 1, got {x}")
+        if y < 1:
+            raise DataError(f"count for x={x} must be >= 1; omit zero rows")
+        authors, contributions = authors + y, contributions + x * y
+        if contributions >= 2**63:  # it bounds x, y and authors too
+            raise DataError(f"x and y must be whole numbers, got x={x}, y={y}, "
+                            f"which take the sum of x*y to {contributions}, past 64 bits")
+        pts.append((x, y))
+        prev = x
+    if not pts:
+        raise DataError("distribution has no rows")
+    return tuple(pts), authors, contributions
+
+
+@st.composite
+def _valid_tables(draw) -> list[tuple[int, int]]:
+    """1 to 30 rows, x from 1 to 2^45, y to 2^20; at times the sum of x*y is just below 2^63."""
+    gaps = draw(st.lists(st.integers(1, 2 ** draw(st.sampled_from([2, 20, 40]))), min_size=1,
+                         max_size=30))
+    rows = list(zip(accumulate(gaps), draw(st.lists(st.integers(1, 2**20), min_size=len(gaps),
+                                                    max_size=len(gaps)))))
+    while sum(x * y for x, y in rows) >= 2**62:  # the first row holds at most 2^60
+        rows.pop()
+    if draw(st.booleans()):  # the last count takes the sum as close to 2^63 as it goes
+        x, y = rows[-1]
+        rows[-1] = x, (2**63 - 1 - sum(x * y for x, y in rows[:-1])) // x
+    return rows
+
+
+def _forms(rows: list[tuple[int, int]]) -> list:
+    """The inputs that hold the table ``rows``: pairs, lists, numpy rows, arrays, whole floats."""
+    top = max(max(row) for row in rows)
+    forms = [tuple(rows), [list(row) for row in rows], list(np.array(rows, np.int64)),
+             np.array(rows, np.int64), np.array(rows, np.uint64)]
+    if top < 2**31:
+        forms.append(np.array(rows, np.int32))
+    if top <= 2**53:
+        forms += [tuple((float(x), float(y)) for x, y in rows), np.array(rows, np.float64)]
+    return forms
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_valid_tables())
+def test_every_form_of_a_valid_table_builds_what_the_row_loop_builds(rows):
+    points, authors, contributions = _row_loop(rows)
+    reference = ProductivityDistribution(rows)
+    for form in [*_forms(rows), (row for row in rows)]:
+        dist = ProductivityDistribution(form)
+        assert dist.xs.dtype == dist.ys.dtype == np.int64
+        assert dist.xs.tolist() == [x for x, _ in points] and dist.ys.tolist() == [y for _, y in points]
+        assert dist.points == points and all(type(v) is int for row in dist.points for v in row)
+        assert (dist.total_authors, dist.total_contributions) == (authors, contributions)
+        assert dist.to_dict() == reference.to_dict() == {
+            "points": [list(row) for row in points], "provenance": "loaded",
+            "total_authors": authors, "total_contributions": contributions}
+        assert dist == reference and hash(dist) == hash(reference)
+    assert reference != ProductivityDistribution(rows, provenance="exact")
+
+
+_NOT_PAIRS = st.sampled_from([5, None, (1,), (1, 2, 3), "ab", 2.5])
+_NOT_WHOLE = st.sampled_from([True, False, np.True_, math.nan, np.float64(math.nan), math.inf,
+                              -math.inf, 2.5, None, "1"])
+_BELOW_1 = st.one_of(st.just(0), st.integers(-2**62, -1))
+_PAST_64_BITS = st.integers(63, 200).flatmap(lambda bits: st.sampled_from([2**bits, -2**bits - 1]))
+
+
+@st.composite
+def _faulty_tables(draw):
+    """A valid table with one fault put in, and the name of the fault."""
+    rows = [list(row) for row in draw(_valid_tables())]
+    i, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
+    fault = draw(st.sampled_from(["empty", "not a pair", "not whole", "past 64 bits", "unsorted",
+                                  "x below 1", "y below 1", "sum reaches 2^63"]))
+    if fault == "empty":
+        rows = []
+    elif fault == "not a pair":
+        rows[i] = draw(_NOT_PAIRS)
+    elif fault == "not whole":
+        rows[i][column] = draw(_NOT_WHOLE)
+    elif fault == "past 64 bits":
+        rows[i][column] = draw(_PAST_64_BITS)
+    elif fault == "unsorted":  # a repeated x, or a row moved before a smaller x
+        assume(len(rows) > 1)
+        j = draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
+        rows[i][0] = rows[j][0] if draw(st.booleans()) else rows[i][0]
+        rows.insert(min(i, j), rows.pop(max(i, j)))
+    elif fault == "x below 1":
+        rows[0][0] = draw(_BELOW_1)
+    elif fault == "y below 1":
+        rows[i][1] = draw(_BELOW_1)
+    else:
+        x = rows[-1][0]
+        rows[-1][1] = -(-(2**63 - sum(x * y for x, y in rows[:-1])) // x) + draw(st.integers(0, 5))
+    return rows, fault
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_faulty_tables())
+def test_a_faulty_table_is_a_data_error_in_every_form_as_in_the_row_loop(table):
+    rows, fault = table
+    with pytest.raises(DataError):
+        _row_loop(rows)
+    forms = [rows, (row for row in rows)]
+    if fault not in ("not a pair", "not whole"):  # an array would hold 1 for True, 2 for 2.5
+        for dtype in (np.int64, np.int32, np.float64):
+            try:
+                array = np.array(rows, dtype)
+            except OverflowError:  # past what the type holds
+                continue
+            if array.tolist() == rows:  # int32 wraps, float64 rounds past 2^53
+                forms.append(array)
+    for form in forms:
+        with pytest.raises(DataError):
+            ProductivityDistribution(form)
+
+
+class _RowsRefused(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("the table was read row by row")
+
+
+def test_an_integer_array_is_checked_without_a_row_loop():
+    for dtype in (np.int8, np.int32, np.int64):
+        table = np.array([[1, 5], [2, 3], [4, 1]], dtype).view(_RowsRefused)
+        assert ProductivityDistribution(table).points == ((1, 5), (2, 3), (4, 1))
+
+
+_RISE = r"^x values must be strictly increasing from 1 and counts >= 1 \(omit zero rows\), got "
+
+
+@pytest.mark.parametrize("rows, fault", [
+    ([[1, 5], [3, 2], [2, 1]], _RISE + r"x=2, y=1 at points\[2\]$"),
+    ([[0, 5], [3, 2]], _RISE + r"x=0, y=5 at points\[0\]$"),
+    ([[1, 5], [3, 2], [4, 0]], _RISE + r"x=4, y=0 at points\[2\]$"),
+    ([[1, 5], [2, 2**62], [3, 1]], r"^x and y must be whole numbers, got x=2, y=4611686018427387904 at "
+                                   r"points\[1\], which take the sum of x\*y to 9223372036854775813, "
+                                   r"past 64 bits$"),
+])
+def test_a_column_fault_names_the_first_bad_row(rows, fault):
+    for form in (rows, np.array(rows)):
+        with pytest.raises(DataError, match=fault):
+            ProductivityDistribution(form)
 
 
 def test_record_invariants():

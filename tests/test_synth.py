@@ -244,6 +244,12 @@ def test_a_draw_as_wide_as_its_support_holds_less_than_a_draw_in_one_call():
     assert peak < 64 * 10**6
 
 
+def test_an_exact_table_of_a_million_levels_holds_columns_not_pairs():
+    # 238.8 MB while the table was also a tuple of Python-int pairs
+    peak = _traced_peak(lambda: exact_distribution(1.05, 10**9, 10**6))
+    assert peak < 200 * 10**6
+
+
 @pytest.mark.parametrize("cpus", [2, 3, 7])
 def test_no_thread_outlives_a_draw_in_many_runs(monkeypatch, cpus):
     monkeypatch.setattr(synth, "_cpus", lambda: cpus)
