@@ -24,15 +24,16 @@ counting its names as it reads: no read holds a decoded copy of its
 whole input, nor the command line a name list. A pipe block is checked
 a column at a time, with no Python call per line; a block that check
 refuses, and every JSON block, is read line by line, which names the
-first fault in that pass. A record file that the command line
-reads, if it can seek, is cut after newlines into one byte range per
-CPU, each of at least 2^21 bytes (a smaller file is one range). A
-worker forked for each range, the first included, sends back the names
-it credits and its columns; the calling process parses no range, and
-only tallies and joins. A fault in any range, an id repeated across
-ranges, a worker that dies or a fork that warns (as Python 3.12+ does
-in a process with threads) sends the file through the one-range read,
-which names any fault.
+first fault in that pass. A record file that the command line reads,
+if it can seek, is cut into one byte range per CPU, each of at least
+2^21 bytes (a smaller file is one range). Each range starts after the
+first newline within 2^18 bytes of its cut; a cut with none is dropped,
+so its range joins the one before. A worker forked for each range, the
+first included, sends back the names it credits and its columns; the
+calling process parses no range, and only tallies and joins. A fault in
+any range, an id repeated across ranges, a worker that dies or a fork
+that warns (as Python 3.12+ does in a process with threads) sends the
+file through the one-range read, which names any fault.
 Every record, parsed or built by hand, cleans its names:
 :func:`normalize_author` collapses runs of whitespace and empty name
 slots are dropped, so the same names count as one author either way.
@@ -59,6 +60,7 @@ import warnings
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -517,7 +519,7 @@ def _sniff(blocks: Iterator[list[str]]) -> tuple[str, Iterator[list[str]]]:
 
 
 def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDistribution:
-    """Records or a distribution table, whichever ``data`` holds.
+    """Records or a distribution table, whichever ``data``, bytes-like or a str, holds.
 
     ``kind`` is ``"pipe"``, ``"jsonl"``, ``"distribution"`` or ``"auto"``.
     Auto reads the first line that is not blank: ``{`` starts JSON
@@ -528,7 +530,9 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     if kind not in ("auto", "pipe", "jsonl", "distribution"):
         raise DataError(f"unknown record format {kind!r} "
                         "(expected 'auto', 'pipe', 'jsonl' or 'distribution')")
-    texts = (_file_texts(io.BytesIO(data)) if isinstance(data, (bytes, bytearray))
+    if not isinstance(data, (str, bytes, bytearray, memoryview)):  # io.BytesIO(None) reads as empty
+        raise TypeError(f"input must be bytes or str, not {type(data).__name__}")
+    texts = (_file_texts(io.BytesIO(data)) if not isinstance(data, str)  # BytesIO shares bytes
              else (data[i : i + _BLOCK_BYTES] for i in range(0, len(data), _BLOCK_BYTES)))
     return _read_texts(texts, kind)
 
@@ -613,33 +617,28 @@ def _cpus() -> int:
 def _ranges(file, kind: str) -> tuple[str, list[int]]:
     """The kind of input a file holds, and the start of each byte range to read it in.
 
-    A record file that can seek is cut into one range for each CPU this
-    process may run on, fewer if a range would hold under
-    ``_SPLIT_BYTES``. Each range starts after a newline byte, which is
-    part of no other UTF-8 character, so the ranges hold whole lines. A
-    table, a file that cannot seek or a system with no ``fork`` is one
-    range, and ``"auto"`` is sniffed only for a file large enough to cut.
+    A record file that can seek is cut into a range per CPU this process
+    may run on, fewer if a range would hold under ``_SPLIT_BYTES``. A range
+    starts after the first newline byte (part of no other UTF-8 character)
+    within ``_BLOCK_BYTES`` of its cut and before the next; a cut with none
+    is dropped, so its range joins the one before. A table, a file that
+    cannot seek or a system with no ``fork`` is one range. Only a file large
+    enough to cut is sniffed for ``"auto"``, then put back at byte 0.
     """
     if not (file.seekable() and hasattr(os, "fork")):
         return kind, [0]
     size = os.fstat(file.fileno()).st_size
     count = min(_cpus(), size // _SPLIT_BYTES)
-    starts = [0]
     if count > 1 and kind == "auto":
-        try:
+        with suppress(DataError):  # kind stays "auto": one range, whose read names the fault
             kind = _sniff(_line_blocks(_file_texts(file)))[0]
-        except DataError:  # named by the one-range read
-            count = 1
-    if count > 1 and kind in ("pipe", "jsonl"):
-        cuts = [size * i // count for i in range(1, count)]
-        for cut, end in zip(cuts, [*cuts[1:], size]):  # the first newline from each cut on
-            file.seek(cut)
-            while not (line := file.readline(_BLOCK_BYTES)).endswith(b"\n") and line \
-                    and file.tell() < end:
-                pass
-            if line.endswith(b"\n") and starts[-1] < file.tell() < size:
-                starts.append(file.tell())
-    file.seek(0)
+        file.seek(0)
+    cuts = [size * i // count for i in range(1, count)] if kind in ("pipe", "jsonl") else []
+    starts = [0]
+    for cut, end in zip(cuts, [*cuts[1:], size]):
+        after = os.pread(file.fileno(), min(end - cut, _BLOCK_BYTES), cut).find(b"\n") + 1
+        if 0 < after < size - cut:  # a newline, and not the file's last byte
+            starts.append(cut + after)
     return kind, starts
 
 

@@ -211,6 +211,17 @@ def test_read_input_names_every_kind():
         read_input(b"P1|2005|A\n", "bogus")
 
 
+def test_read_input_takes_any_bytes_like_input_and_no_other_type():
+    data = b"P1|2000|A\nP2|2001|B; C\n"
+    assert read_input(memoryview(data)) == read_input(bytearray(data)) == read_input(data)
+    assert load_distribution(memoryview(b"1,2\n")) == load_distribution(b"1,2\n")
+    for bad, name in [(data.decode().splitlines(True), "list"), (None, "NoneType"), (3, "int")]:
+        with pytest.raises(TypeError, match=f"^input must be bytes or str, not {name}$"):
+            read_input(bad)
+        with pytest.raises(TypeError, match=name):
+            parse_records(bad)
+
+
 def test_a_bytes_read_holds_no_whole_decoded_text(monkeypatch):
     """Bytes are decoded a block at a time: their read peaks no higher than that of their text.
 
@@ -787,6 +798,44 @@ def test_a_file_read_in_ranges_reads_as_one_range(tmp_path_factory, case, method
             assert _file_outcome(path, kind, method) == expected
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+_CUT_WINDOW = 8  # _BLOCK_BYTES while a file is cut; each range holds at least twice it
+
+
+@st.composite
+def _files_to_cut(draw):
+    """A record file's bytes: lines of 1 byte to 3 windows with LF or CR LF ends, the last
+    sometimes with none. Each line is all ``|``, so ``"auto"`` sniffs pipe records."""
+    sizes = st.integers(1, 3 * _CUT_WINDOW)
+    lines = draw(st.lists(st.tuples(sizes, st.sampled_from([b"\n", b"\r\n"])), max_size=40))
+    data = b"".join(b"|" * max(size - len(end), 0) + end for size, end in lines)
+    return data + b"|" * draw(st.sampled_from([0, 0, 1, 2 * _CUT_WINDOW]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_files_to_cut(), st.integers(2, 7), st.sampled_from(["pipe", "jsonl", "auto"]))
+def test_each_range_starts_after_the_first_newline_within_a_block_of_its_cut(
+        tmp_path_factory, data, cpus, kind):
+    path = tmp_path_factory.getbasetemp() / "records_to_cut"
+    path.write_bytes(data)
+    with mock.patch.object(corpus, "_BLOCK_BYTES", _CUT_WINDOW), \
+            mock.patch.object(corpus, "_SPLIT_BYTES", 2 * _CUT_WINDOW), \
+            mock.patch.object(corpus, "_cpus", lambda: cpus), open(path, "rb") as file:
+        kind, starts = corpus._ranges(file, kind)
+        assert file.tell() == 0
+    size = len(data)
+    count = min(cpus, size // (2 * _CUT_WINDOW)) if kind != "auto" else 1  # auto: nothing sniffed
+    cuts = [size * i // count for i in range(1, count)]
+    assert starts[0] == 0 and starts == sorted(set(starts)) and all(s < size for s in starts[1:])
+    for start in starts[1:]:
+        cut = max(cut for cut in cuts if cut < start)
+        assert data[start - 1] == ord("\n") and start - cut <= _CUT_WINDOW
+        assert b"\n" not in data[cut : start - 1]  # the first newline after its cut
+    for cut, end in zip(cuts, [*cuts[1:], size]):  # a cut with no newline in its window is dropped
+        after = data[cut : min(end, cut + _CUT_WINDOW)].find(b"\n") + 1
+        found = [start for start in starts if cut < start <= end]
+        assert found == ([cut + after] if 0 < after < size - cut else [])
 
 
 @pytest.mark.parametrize("line, fault", [

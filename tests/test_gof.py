@@ -1,9 +1,12 @@
 """Conformity statistics, critical values and the comparison report."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotkalaw import (
     COEFFICIENT_PRESETS,
@@ -223,6 +226,44 @@ def test_run_ks_conforming_case():
     result = run_ks(dist, n, c, COEFFICIENT_PRESETS["alpha10"])
     assert result.conforms_pointwise
     assert result.conforms_cumulative
+
+
+@st.composite
+def _ks_tables(draw):
+    """The rows of a valid table: 1 to 60 levels, x up to 500 with gaps, y up to 10^6."""
+    xs = sorted(draw(st.sets(st.integers(1, 500), min_size=1, max_size=60)))
+    return [(x, draw(st.integers(1, 10**6))) for x in xs]
+
+
+def _ks_oracle(points, n, c, coefficient, dense):
+    """run_ks's figures in plain Python: y/N, c * float(x) ** -n and running sums."""
+    total = sum(y for _, y in points)
+    observed_cum = expected_cum = 0.0
+    level = 0  # the last level the dense curve has summed
+    pointwise, cumulative = [], []
+    for x, y in points:
+        observed_cum += y / total
+        if dense:  # every integer level up to x, attained or not
+            while level < x:
+                level += 1
+                expected_cum += c * float(level) ** -n
+        else:
+            expected_cum += c * float(x) ** -n
+        pointwise.append(y / total - c * float(x) ** -n)
+        cumulative.append(abs(observed_cum - expected_cum))
+    crit = coefficient / math.sqrt(total)
+    d_pw, d_cum = max(pointwise), max(cumulative)
+    return {"total_authors": total, "coefficient": coefficient, "critical_value": crit,
+            "d_max_pointwise": d_pw, "conforms_pointwise": abs(d_pw) <= crit,
+            "d_max_cumulative": d_cum, "conforms_cumulative": d_cum <= crit}
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_ks_tables(), st.floats(1.05, 4), st.floats(0, 1, exclude_min=True),
+       st.sampled_from(sorted(COEFFICIENT_PRESETS.values())), st.booleans())
+def test_run_ks_equals_a_plain_python_oracle(points, n, c, coefficient, dense):
+    result = run_ks(ProductivityDistribution(points), n, c, coefficient, dense_expected=dense)
+    assert result.to_dict() == _ks_oracle(points, n, c, coefficient, dense)
 
 
 @pytest.mark.parametrize("n", [float("nan"), float("inf"), float("-inf")])
