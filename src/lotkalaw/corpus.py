@@ -19,12 +19,14 @@ Two record formats are supported:
 
 :func:`parse_records` returns the records as the columns of a
 :class:`Corpus`. Input is read in blocks of 2^18 bytes (or characters,
-of text), each split into lines once, as the command line reads a file,
-counting its names as it reads: no read holds a decoded copy of its
-whole input, nor the command line a name list. A pipe block is checked
-a column at a time, with no Python call per line; a block that check
-refuses, and every JSON block, is read line by line, which names the
-first fault in that pass. A record file that the command line reads,
+of text), each split into lines once, so no read holds a decoded copy of
+its whole input. A pipe block is checked a column at a time, with no
+Python call per line; a block that check refuses, and every JSON block,
+is read line by line, which names the first fault in that pass. Names
+leave a read one way: in batches of those a counting method credits. The
+command line tallies them and keeps no name list; the library keeps
+them, under complete counting, as the corpus' ``names``.
+A record file that the command line reads,
 if it can seek, is cut into one byte range per CPU, each of at least
 2^21 bytes (a smaller file is one range). Each range starts after the
 first newline within 2^18 bytes of its cut; a cut with none is dropped,
@@ -162,23 +164,21 @@ class Corpus(Sequence):
         if len(set(ids)) != len(ids):
             raise DataError(f"duplicate record id {Counter(ids).most_common(1)[0][0]!r}")
         self._set_columns(ids, np.array([rec.year for rec in records], np.int64),
-                          np.array([len(rec.authors) for rec in records], np.int64),
-                          list(chain.from_iterable(rec.authors for rec in records)))
+                          np.array([len(rec.authors) for rec in records], np.int64))
+        self.names = list(chain.from_iterable(rec.authors for rec in records))
 
     @classmethod
-    def _of_checked(cls, ids: list[str], years, counts, names: list[str] | None) -> "Corpus":
-        """A Corpus of columns whose records were checked as they were read."""
+    def _of_checked(cls, ids: list[str], years, counts) -> "Corpus":
+        """A Corpus of columns whose records were checked as they were read, with no ``names`` yet."""
         corpus = cls.__new__(cls)
-        corpus._set_columns(ids, years, counts, names)
+        corpus._set_columns(ids, years, counts)
         return corpus
 
-    def _set_columns(self, ids: list[str], years, counts, names: list[str] | None) -> None:
+    def _set_columns(self, ids: list[str], years, counts) -> None:
         """Keep the columns; ``years`` and ``counts`` (each record's authors) are unshared int64 arrays."""
         offsets = np.concatenate(([0], np.cumsum(counts)))
         years.flags.writeable = offsets.flags.writeable = False
         self.ids, self.years, self.offsets = ids, years, offsets
-        if names is not None:  # None: the names were counted as they were read, then dropped
-            self.names = names
 
     @classmethod
     def from_records(cls, records: Iterable[PublicationRecord]) -> "Corpus":
@@ -273,11 +273,13 @@ class ProductivityDistribution:
 
     points = property(lambda self: tuple(zip(self.xs.tolist(), self.ys.tolist())))  # Python-int pairs
 
-    def __eq__(self, other) -> bool:  # equal documents
-        return self.to_dict() == other.to_dict() if isinstance(other, ProductivityDistribution) else NotImplemented
+    def __eq__(self, other) -> bool:  # equal documents, as the columns are always int64
+        return self._key == other._key if isinstance(other, ProductivityDistribution) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.provenance, self.xs.tobytes(), self.ys.tobytes()))
+        return hash(self._key)
+
+    _key = property(lambda self: (self.provenance, self.xs.tobytes(), self.ys.tobytes()))
 
     def to_dict(self) -> dict:
         return {
@@ -387,16 +389,16 @@ def _parse_jsonl_line(line: str) -> tuple:
     return obj["id"], obj["year"], authors
 
 
-def _records(blocks: Iterable[list[str]], fmt: str, take=None,
-             method: CountingMethod | None = None) -> Corpus:
-    """The records of the blocks of lines, each read in the one pass that names its first fault.
+def _records(blocks: Iterable[list[str]], fmt: str, take,
+             method: CountingMethod | None) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ids, years and author counts of blocks of lines, each read in the pass that names its fault.
 
     A pipe block goes through the column check; any other block, or one
-    it refuses, through the per-line reader. Without ``take`` the corpus
-    keeps every cleaned name. With it the records keep no names: those
-    that ``method`` credits (none if it is None) go to ``take``
-    ``_TALLY_NAMES`` at a time, and the rest once after the last block.
-    No batch is empty, and none is handed after a fault.
+    it refuses, through the per-line reader. This is the one way names
+    leave a read: the cleaned names that ``method`` credits (none if it
+    is None), in file order, go to ``take`` ``_TALLY_NAMES`` at a time,
+    and the rest once after the last block; the columns keep none. No
+    batch is empty, and none is handed after a fault.
     """
     seen: dict[str, int] = {}  # id -> line, in record order: the ids column
     years, sizes, names = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
@@ -407,18 +409,15 @@ def _records(blocks: Iterable[list[str]], fmt: str, take=None,
         lineno += len(lines)
         years.append(block_years)
         sizes.append(counts)
-        if take is None:
-            names += slots
-        elif method is not None:
+        if method is not None:
             names += _credited(slots, np.cumsum(counts) - counts, method)
             if len(names) >= _TALLY_NAMES:
                 take(names)
                 names = []
         del lines, slots  # before the next block is read
-    if take is not None and names:
+    if names:
         take(names)
-    return Corpus._of_checked(list(seen), np.concatenate(years), np.concatenate(sizes),
-                              names if take is None else None)
+    return list(seen), np.concatenate(years), np.concatenate(sizes)
 
 
 def _pipe_block(lines: list[str], lineno: int, seen: dict[str, int]) -> tuple | None:
@@ -485,10 +484,8 @@ def _line_block(lines: list[str], lineno: int, fmt: str, seen: dict[str, int]) -
 def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
     """Parse a record file into a :class:`Corpus`; empty input yields an empty one.
 
-    Pipe text is checked one block of columns at a time, and a block
-    with a fault is read line by line to name it; JSON lines are read
-    line by line. Malformed rows raise :class:`DataError` naming the first
-    offending line; a duplicated id names both lines involved.
+    Malformed rows raise :class:`DataError` naming the first offending
+    line; a duplicated id names both lines involved.
     """
     if fmt not in ("pipe", "jsonl"):
         raise DataError(f"unknown record format {fmt!r} (expected 'pipe' or 'jsonl')")
@@ -525,7 +522,10 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     Auto reads the first line that is not blank: ``{`` starts JSON
     lines, a ``|`` marks pipe records, and ``x,y`` or two integers
     start a table; anything else raises :class:`DataError`. Bytes (UTF-8,
-    with or without a BOM) and text are read a block at a time, as a file is.
+    with or without a BOM) and text are read a block at a time, as a file is;
+    a ``bytearray`` or ``memoryview`` is first copied whole, as ``io.BytesIO``
+    shares only ``bytes``. The records' ``names`` are those that complete
+    counting credits as the read hands them on: every cleaned name, in order.
     """
     if kind not in ("auto", "pipe", "jsonl", "distribution"):
         raise DataError(f"unknown record format {kind!r} "
@@ -534,18 +534,22 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
         raise TypeError(f"input must be bytes or str, not {type(data).__name__}")
     texts = (_file_texts(io.BytesIO(data)) if not isinstance(data, str)  # BytesIO shares bytes
              else (data[i : i + _BLOCK_BYTES] for i in range(0, len(data), _BLOCK_BYTES)))
-    return _read_texts(texts, kind)
+    names: list[str] = []
+    loaded = _read_texts(texts, kind, names.extend, CountingMethod.COMPLETE)
+    if isinstance(loaded, Corpus):
+        loaded.names = names
+    return loaded
 
 
-def _read_texts(texts: Iterable[str], kind: str, take=None, method: CountingMethod | None = None):
-    """The records (see :func:`_records`) or table of the texts, of a checked or sniffed ``kind``."""
+def _read_texts(texts: Iterable[str], kind: str, take, method: CountingMethod | None):
+    """The table, or a Corpus of the columns of :func:`_records` with no ``names``, of the texts."""
     blocks = _line_blocks(texts)
     try:
         if kind == "auto":
             kind, blocks = _sniff(blocks)
         if kind == "distribution":
             return _table_of(blocks)
-        return _records(blocks, kind, take, method)
+        return Corpus._of_checked(*_records(blocks, kind, take, method))
     except DataError:
         for _ in texts:  # read to the end with no parse: a later bad byte is the fault named
             pass
@@ -555,14 +559,13 @@ def _read_texts(texts: Iterable[str], kind: str, take=None, method: CountingMeth
 def _read_file(path, kind: str, method: CountingMethod | None = None):
     """``read_input`` of a file, read a block of lines at a time, and the tally of its names.
 
-    Returns the records or table and, given a counting ``method``, a
-    ``Counter`` of the papers each author is credited with (None without
-    one). :func:`_records` hands the names to the tally ``_TALLY_NAMES``
-    at a time: the records keep no ``names``. Neither the bytes nor the
-    text are held whole. A record file that can seek is cut into the
-    byte ranges of :func:`_ranges` and read by :func:`_read_ranges`. If
-    that gives no records, or the file is one range, this process reads
-    the file as one range, which names any fault as ``read_input`` does.
+    Returns the records, with no ``names``, or table and, given a counting
+    ``method``, a ``Counter`` of the papers each author is credited with
+    (None without one). Neither the bytes nor the text are held whole. A
+    record file that can seek is cut into the byte ranges of
+    :func:`_ranges` and read by :func:`_read_ranges`. If that gives no
+    records, or the file is one range, this process reads the file as one
+    range, which names any fault as ``read_input`` does.
     """
     with open(path, "rb") as file:
         kind, starts = _ranges(file, kind)
@@ -603,7 +606,7 @@ def _read_ranges(path, kind: str, method: CountingMethod | None,
         ids = list(chain.from_iterable(ids))  # each range's own ids are distinct
         if len(set(ids)) != len(ids):
             return None
-        return Corpus._of_checked(ids, np.concatenate(years), np.concatenate(sizes), None), tally
+        return Corpus._of_checked(ids, np.concatenate(years), np.concatenate(sizes)), tally
     finally:
         for worker in workers:
             worker.stop()
@@ -648,24 +651,19 @@ def _work(path, kind: str, method, start: int, end: int | None, out) -> NoReturn
     Every range of a split file is read here, the first included. Each
     batch of credited names that :func:`_records` hands over goes as a
     ``b"N"`` message, the names joined by newlines, which no cleaned name
-    holds. Then the ids, years and author counts go as one pickled
-    ``b"C"`` message, unless the range has a fault, which the parent names. The worker
-    leaves through ``os._exit``, never into its caller's stack or the
-    stdio buffers it shares with the parent.
+    holds. Then the ids, years and author counts it returns go as one
+    pickled ``b"C"`` message, unless the range has a fault, which the
+    parent names. The worker leaves through ``os._exit``, never into its
+    caller's stack or the stdio buffers it shares with the parent.
     """
     gc.disable()  # a collection writes to every object, so copies the pages shared with the parent
     try:
-        with open(path, "rb") as file:
+        with open(path, "rb") as file, suppress(DataError):  # a range with a fault sends no columns
             file.seek(start)
             blocks = _line_blocks(_file_texts(file, end))
-            try:
-                columns = _records(blocks, kind, lambda names: _send(
-                    out, b"N", "\n".join(names).encode("utf-8", "surrogatepass")), method)
-            except DataError:
-                columns = None
-        if columns is not None:
-            _send(out, b"C", pickle.dumps((columns.ids, columns.years, np.diff(columns.offsets)),
-                                          pickle.HIGHEST_PROTOCOL))
+            columns = _records(blocks, kind, lambda names: _send(
+                out, b"N", "\n".join(names).encode("utf-8", "surrogatepass")), method)
+            _send(out, b"C", pickle.dumps(columns, pickle.HIGHEST_PROTOCOL))
         out.flush()
     finally:
         os._exit(0)

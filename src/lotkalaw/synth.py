@@ -119,10 +119,11 @@ def sample_distribution(spec: SynthSpec) -> ProductivityDistribution:
     for part in parts:
         if isinstance(part, BaseException):
             raise part
-    below = parts[0]
+    counts = parts[0]  # the count below each edge, then at each level
     for part in parts[1:]:
-        below += part
-    counts = np.diff(below, prepend=0)
+        counts += part
+    del cdf, parts  # only the counts are held while the table is built
+    counts[1:] = np.diff(counts)
     return ProductivityDistribution(_points(counts), provenance=f"sampled:seed={spec.seed}")
 
 

@@ -640,9 +640,13 @@ def test_cli_counts_a_record_file_without_its_name_list(capsys, monkeypatch, tmp
     path.write_text(dump_records(records), encoding="utf-8")
     names_size = sys.getsizeof(parse_records(path.read_bytes(), "jsonl").names)
 
-    def streamed_with_names():
+    def streamed_with_names():  # the file read as the CLI reads it, but keeping every name
+        names = []
         with open(path, "rb") as file:
-            return corpus._records(corpus._line_blocks(corpus._file_texts(file)), "jsonl")
+            loaded = corpus._read_texts(corpus._file_texts(file), "jsonl", names.extend,
+                                        corpus.CountingMethod.COMPLETE)
+        loaded.names = names
+        return loaded
 
     with_names = {
         "ingest": lambda: count_productivity(streamed_with_names()),

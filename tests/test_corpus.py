@@ -563,8 +563,9 @@ _PIPE_SAFE_ROWS = st.lists(
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(_PIPE_SAFE_ROWS, st.sampled_from(["pipe", "jsonl"]))
-def test_parse_property_matches_hand_built_records(rows, fmt):
+@given(_PIPE_SAFE_ROWS, st.sampled_from(["pipe", "jsonl"]), st.integers(1, 8), st.integers(1, 16))
+def test_parse_property_matches_hand_built_records(rows, fmt, tally_names, block_bytes):
+    """Each record keeps its names, in order, across the blocks of the read and its batches of names."""
     if fmt == "pipe":
         text = "".join(f"{rid}|{pad}{year}{pad}|{';'.join(names)}\n"
                        for rid, year, pad, names in rows)
@@ -573,7 +574,10 @@ def test_parse_property_matches_hand_built_records(rows, fmt):
         text = "".join(json.dumps({"id": rid, "year": year, "authors": names}) + "\n"
                        for rid, year, _, names in rows)
         expected = [PublicationRecord(rid, year, names) for rid, year, _, names in rows]
-    assert parse_records(text, fmt) == expected
+    with mock.patch.object(corpus, "_TALLY_NAMES", tally_names), \
+            mock.patch.object(corpus, "_BLOCK_BYTES", block_bytes):
+        assert parse_records(text, fmt) == expected
+        assert parse_records(text.encode("utf-8"), fmt) == expected
 
 
 # ---------------------------------------------------------------------------

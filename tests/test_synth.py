@@ -238,12 +238,12 @@ def test_a_narrow_draw_holds_a_few_blocks_of_uniforms_not_all_of_them(monkeypatc
 
 def test_a_draw_as_wide_as_its_support_holds_less_than_a_draw_in_one_call():
     # one block of 1e6 uniforms on 1e6 levels; the draw in one call took
-    # 69.9 MB. This one peaks at 32.6 MB as its table is built: three
-    # arrays of 8 bytes per level (the CDF, the count below each edge and
-    # its np.diff) and 5.6 MB of rows and columns for 175,275 levels. One
-    # more array of 8 bytes per level alive then takes it to 40.6 MB
+    # 69.9 MB. This one peaks at 24.0 MB as the block is counted: three
+    # 8.0 MB arrays, the CDF, the sorted uniforms and the count below each
+    # edge. The table is built from the counts alone, at 16.6 MB; keeping
+    # the CDF and the summed count alive through it, as before, took 32.6 MB
     peak = _traced_peak(lambda: sample_distribution(SynthSpec(1.05, 10**6, 10**6, 0)))
-    assert peak < 39 * 10**6
+    assert peak < 28 * 10**6
 
 
 def test_an_exact_table_of_a_million_levels_holds_columns_not_pairs():
