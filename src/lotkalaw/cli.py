@@ -14,9 +14,11 @@ import json
 import re
 import sys
 from dataclasses import asdict
-from math import log10
-from operator import itemgetter
+from itertools import chain
+from math import isfinite, log10
 from pathlib import Path
+
+import numpy as np
 
 from .collab import authorship_pattern, collab_metrics, render_pattern_csv
 from .corpus import (
@@ -240,39 +242,33 @@ def _ks_for(args: argparse.Namespace, dist: ProductivityDistribution):
     return fit, result, doc
 
 
-def _json_doc(doc: dict, **rows: str) -> str:
-    """``json.dumps({**doc, **rows}, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+def _json_doc(value, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` byte for byte, later lines led by ``pad``.
 
-    Each of ``rows`` is a wide list already written by :func:`_json_rows`,
-    since ``indent`` makes ``json`` take its pure-Python encoder. Every
-    top-level value is written on its own and joined in key order, so no
-    text is searched for a place to splice, and no input string can move
-    one.
+    ``indent`` sends ``json`` to its pure-Python encoder, so a dict with
+    string keys is written a key at a time, and a table at any depth from
+    one ``%r`` template per row: a numpy record array as objects keyed by
+    its sorted field names, a list of equal-length lists or tuples as
+    arrays. A table's cells must be ints and finite floats of no subclass
+    (no bool, no numpy scalar), whose ``%r`` is their ``json`` text. Any
+    other value, an empty one too, goes to ``json``.
     """
-    texts = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-             for key, value in doc.items()}  # json escapes a newline in a string
-    texts.update(rows)
-    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts)) \
-        + "\n}\n"
-
-
-def _json_rows(rows: list[tuple], names: tuple[str, ...] | None = None) -> str:
-    """At least one row, laid out as :func:`_json_doc` lays out a top-level list.
-
-    A row is an object keyed by ``names``, or an array if ``names`` is
-    None, and one template writes them all. Every value must be an int
-    or a finite float, whose ``%r`` is its ``json`` text; K-S rows and
-    their logs hold nothing else.
-    """
-    width = len(rows[0])
-    if names is None:
-        template = "    [\n" + ",\n".join(["      %r"] * width) + "\n    ]"
-    else:
-        order = sorted(range(width), key=names.__getitem__)
-        template = "    {\n" + ",\n".join(f"      {json.dumps(names[i])}: %r" for i in order) \
-            + "\n    }"
-        rows = map(itemgetter(*order), rows)
-    return "[\n" + ",\n".join([template % row for row in rows]) + "\n  ]"
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        return "{" + ",".join(f"{inner}{json.dumps(key)}: {_json_doc(value[key], inner)}"
+                              for key in sorted(value)) + pad + "}"
+    names = isinstance(value, np.ndarray) and sorted(value.dtype.names or ())
+    rows = value[names].tolist() if names else value  # a numpy 2 scalar's %r is np.float64(...)
+    cells = type(rows) is list and {*map(type, rows)} <= {list, tuple} and [*chain(*rows)]
+    # isfinite is asked of floats alone: isfinite(10**400) raises
+    if not cells or len({*map(len, rows)}) > 1 or not {*map(type, cells)} <= {int, float} \
+            or not all(map(isfinite, filter(float.__instancecheck__, cells))):
+        value = [dict(zip(names, row)) for row in rows] if names else value
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)  # json escapes "\n"
+    ends, keys = ("{}", [json.dumps(k).replace("%", "%%") + ": " for k in names]) if names \
+        else ("[]", [""] * len(rows[0]))
+    template = inner + ends[0] + ",".join(f"{inner}  {key}%r" for key in keys) + inner + ends[1]
+    return "[" + ",".join([template % row for row in map(tuple, rows)]) + pad + "]"
 
 
 def _metric_lines(pairs) -> str:
@@ -283,7 +279,7 @@ def _metric_lines(pairs) -> str:
 def cmd_ingest(args: argparse.Namespace) -> str:
     dist, _ = _distribution_for(args)
     if args.output_format == "json":
-        return _json_doc(dist.to_dict())
+        return _json_doc(dist.to_dict()) + "\n"
     return dump_distribution(dist)
 
 
@@ -291,7 +287,7 @@ def cmd_fit(args: argparse.Namespace) -> str:
     dist, _ = _distribution_for(args)
     fit = _fit_for(args, dist)
     if args.output_format == "json":
-        return _json_doc(fit.to_dict())
+        return _json_doc(fit.to_dict()) + "\n"
     lines = [
         "field,value,display",
         f"n,{fit.n!r},{fit.n:.2f}",
@@ -306,8 +302,7 @@ def cmd_ks(args: argparse.Namespace) -> str:
     dist, _ = _distribution_for(args)
     fit, result, doc = _ks_for(args, dist)
     if args.output_format == "json":
-        rows = _json_rows(result.rows.tolist(), result.rows.dtype.names)
-        return _json_doc({"fit": fit.to_dict(), "result": doc}, rows=rows)
+        return _json_doc({"fit": fit.to_dict(), "result": doc, "rows": result.rows}) + "\n"
     summary = [("n", fit.n), ("c", fit.c), ("intercept", fit.intercept)]
     summary += doc.items()
     return render_report_csv(result.rows) + "\nmetric,value\n" + _metric_lines(summary)
@@ -320,7 +315,7 @@ def cmd_pattern(args: argparse.Namespace) -> str:
     table = authorship_pattern(records, period_length=args.period, origin_year=args.origin)
     metrics = collab_metrics(records)
     if args.output_format == "json":
-        return _json_doc({"pattern": table.to_dict(), "metrics": metrics.to_dict()})
+        return _json_doc({"pattern": table.to_dict(), "metrics": metrics.to_dict()}) + "\n"
     metric_lines = _metric_lines(metrics.to_dict().items())
     return render_pattern_csv(table) + "\nmetric,value\n" + metric_lines
 
@@ -328,8 +323,7 @@ def cmd_pattern(args: argparse.Namespace) -> str:
 def cmd_report(args: argparse.Namespace) -> str:
     dist, records = _distribution_for(args)
     fit, result, ks_doc = _ks_for(args, dist)
-    rows = result.rows
-    xs, ys, expected = (rows[name].tolist() for name in ("x", "y", "expected_proportion"))
+    xs, ys, expected = (result.rows[name].tolist() for name in ("x", "y", "expected_proportion"))
     if 0.0 in expected:
         raise NumericError(f"expected count at x={xs[expected.index(0.0)]} underflows to zero, "
                            "so its log10 cannot be plotted")
@@ -340,6 +334,8 @@ def cmd_report(args: argparse.Namespace) -> str:
         "distribution": dist.to_dict(),
         "fit": fit.to_dict(),
         "ks": ks_doc,
+        "ks_rows": result.rows,
+        "plot_data": plot_rows,
         "pattern": None,
         "collaboration": None,
     }
@@ -354,8 +350,7 @@ def cmd_report(args: argparse.Namespace) -> str:
             Path(args.plot_out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot write {args.plot_out}: {exc.strerror}") from None
-    return _json_doc(doc, ks_rows=_json_rows(rows.tolist(), rows.dtype.names),
-                     plot_data=_json_rows(plot_rows))
+    return _json_doc(doc) + "\n"
 
 
 # name -> (help, function, flag groups added after the input flags, in help order)

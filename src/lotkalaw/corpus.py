@@ -54,7 +54,6 @@ import io
 import json
 import os
 import pickle
-import re
 import select
 import signal
 import struct
@@ -504,14 +503,13 @@ def _sniff(blocks: Iterator[list[str]]) -> tuple[str, Iterator[list[str]]]:
             break
     else:
         raise DataError("input file is empty; pass --input-kind if this is intended")
-    if line.startswith("{"):
-        kind = "jsonl"
-    elif "|" in line:
-        kind = "pipe"
-    elif _is_header(line) or re.fullmatch(r"[0-9]+,[0-9]+", line.replace(" ", "")):
-        kind = "distribution"
-    else:
-        raise DataError(f"cannot tell what kind of input {line[:40]!r} starts; pass --input-kind")
+    kind = "jsonl" if line.startswith("{") else "pipe" if "|" in line else "distribution"
+    if kind == "distribution" and not _is_header(line):
+        try:  # a row, as _table_of reads one: two fields that _integer takes
+            _x, _y = map(_integer, line.split(","))
+        except ValueError:
+            raise DataError(f"cannot tell what kind of input {line[:40]!r} starts; "
+                            "pass --input-kind") from None
     return kind, chain(read, blocks)
 
 
@@ -603,9 +601,11 @@ def _read_ranges(path, kind: str, method: CountingMethod | None,
         if any(worker.columns is None for worker in workers):
             return None
         ids, years, sizes = zip(*(worker.columns for worker in workers))
-        ids = list(chain.from_iterable(ids))  # each range's own ids are distinct
-        if len(set(ids)) != len(ids):
+        later = set(chain.from_iterable(ids[1:]))  # each range's own ids are distinct
+        if len(later) != sum(map(len, ids[1:])) or not later.isdisjoint(ids[0]):
             return None
+        del later  # before the ids are joined, for a lower peak
+        ids = list(chain.from_iterable(ids))
         return Corpus._of_checked(ids, np.concatenate(years), np.concatenate(sizes)), tally
     finally:
         for worker in workers:
@@ -789,6 +789,7 @@ def _table_of(blocks: Iterable[list[str]]) -> ProductivityDistribution:
     """The distribution table of the blocks' lines."""
     rows: list[tuple[int, int]] = []
     seen_x: dict[int, int] = {}
+    total = 0  # the sum of x*y so far
     numbered = enumerate(map(str.strip, chain.from_iterable(blocks)), start=1)
     for i, (lineno, line) in enumerate(filter(itemgetter(1), numbered)):  # lines that are not blank
         if i == 0 and _is_header(line):
@@ -808,6 +809,9 @@ def _table_of(blocks: Iterable[list[str]]) -> ProductivityDistribution:
             raise DataError(
                 f"line {lineno}: duplicate x={x} (first seen on line {seen_x[x]})"
             )
+        if (total := total + x * y) >= 2**63:  # it bounds x and y too
+            raise DataError(f"line {lineno}: x={x}, y={y} take the sum of x*y to {total}, "
+                            "past 64 bits")
         seen_x[x] = lineno
         rows.append((x, y))
     return ProductivityDistribution(_int_rows(sorted(rows)), provenance="loaded")

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from lotkalaw import (ProductivityDistribution, PublicationRecord, SynthSpec, authorship_pattern,
-                      collab_metrics, compute_constant, count_productivity, dump_distribution,
-                      dump_records, exact_distribution, parse_records, read_input, run_ks,
-                      sample_distribution)
+from lotkalaw import (DataError, ProductivityDistribution, PublicationRecord, SynthSpec,
+                      authorship_pattern, collab_metrics, compute_constant, count_productivity,
+                      dump_distribution, dump_records, exact_distribution, load_distribution,
+                      parse_records, read_input, run_ks, sample_distribution)
 from lotkalaw import cli, corpus, gof
 from lotkalaw.cli import main
 
@@ -409,32 +410,67 @@ _PATHS = st.one_of(st.text(), st.sampled_from([
 @settings(derandomize=True, deadline=None, max_examples=60,
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
 @given(st.integers(1, 4000), st.booleans(), st.floats(1.01, 1.6), st.integers(0, 2**64 - 1),
-       _PATHS)
-def test_a_document_with_wide_rows_is_what_json_dumps_writes(levels, dense, n, seed, path):
-    # the K-S rows of the first 1 to 4,000 levels of a sampled table, written
-    # from one template per row, beside an input path that reads like one.
-    # The level count is drawn first, so a failure shrinks it first.
+       _PATHS, st.integers(1, 4).flatmap(lambda width: st.lists(
+           st.lists(st.integers(0, 2**70), min_size=width, max_size=width), max_size=5)))
+def test_a_document_with_wide_rows_is_what_json_dumps_writes(levels, dense, n, seed, path, counts):
+    # whole documents holding the K-S rows of the first 1 to 4,000 levels of a
+    # sampled table, their plot rows, the table's points and a nested int
+    # table, beside an input path that reads like one. The level count is
+    # drawn first, so a failure shrinks it first.
     sampled = sample_distribution(SynthSpec(n, 2 * 10**5, 10**4, seed))
     dist = ProductivityDistribution(np.column_stack((sampled.xs, sampled.ys))[:levels])
     result = run_ks(dist, n, compute_constant(n), 1.63, dense_expected=dense)
-    rows, names = result.rows.tolist(), result.rows.dtype.names
+    rows = [dict(zip(result.rows.dtype.names, row)) for row in result.rows.tolist()]
     plot = [(log10(x), log10(y), log10(p * result.total_authors))
             for x, y, p in zip(result.rows.x.tolist(), result.rows.y.tolist(),
                                result.rows.expected_proportion.tolist())]
     doc = {"input": {"path": path, "counting": None}, "distribution": dist.to_dict(),
-           "ks": result.to_dict(), "pattern": None}
-    expected = json.dumps({**doc, "ks_rows": [dict(zip(names, row)) for row in rows],
-                           "plot_data": [list(row) for row in plot]},
-                          sort_keys=True, indent=2) + "\n"
-    written = cli._json_doc(doc, ks_rows=cli._json_rows(rows, names),
-                            plot_data=cli._json_rows(plot))
-    # compared as lists of lines: pytest's diff of two long strings takes minutes
-    assert written.split("\n") == expected.split("\n")
-    ks_doc = {"fit": {}, "result": {}}
-    written = cli._json_doc(ks_doc, rows=cli._json_rows(rows, names))
-    expected = json.dumps({**ks_doc, "rows": [dict(zip(names, row)) for row in rows]},
-                          sort_keys=True, indent=2) + "\n"
-    assert written.split("\n") == expected.split("\n")
+           "ks": result.to_dict(), "plot_data": plot, "pattern": {"counts": counts}}
+    for written, expected in [({**doc, "ks_rows": result.rows}, {**doc, "ks_rows": rows}),
+                              ({"fit": {}, "result": {}, "rows": result.rows},
+                               {"fit": {}, "result": {}, "rows": rows})]:
+        expected = json.dumps(expected, sort_keys=True, indent=2)
+        # compared as lists of lines: pytest's diff of two long strings takes minutes
+        assert cli._json_doc(written).split("\n") == expected.split("\n")
+
+
+_NAN_ROWS = np.array([(1, 0.5), (2, np.nan)], dtype=[("x", np.int64), ("p", np.float64)])
+
+
+@pytest.mark.parametrize("table, plain", [
+    ([[1, True], [2, False]], None),  # %r writes True, json true
+    ([[1, 0.5], [2, float("nan")]], None),  # %r writes nan, json NaN
+    ([(1.0, float("inf"))], None),
+    ([[1.0, -float("inf")]], None),
+    ([[1, 2], [3]], None),  # ragged
+    ([[1, 2], []], None),
+    ([[]], None),
+    ([], None),
+    ([[2**64, 1], [-(10**400), 3]], None),  # no 64-bit bound, and isfinite(10**400) raises
+    ([[np.float64(0.5), 1]], None),  # a numpy 2 scalar's %r is np.float64(0.5)
+    ([{"x": 1, "y": 2}, {"x": 2, "y": 1}], None),
+    ([["a", "b"]], None),
+    (_NAN_ROWS, [{"p": 0.5, "x": 1}, {"p": float("nan"), "x": 2}]),
+    (_NAN_ROWS[:0], []),
+])
+def test_a_table_at_the_template_limits_is_what_json_dumps_writes(table, plain):
+    plain = table if plain is None else plain
+    for written, expected in [(table, plain), ({"a": {"b": table}, "c": 1}, {"a": {"b": plain}, "c": 1})]:
+        assert cli._json_doc(written) == json.dumps(expected, sort_keys=True, indent=2)
+
+
+def test_report_and_ingest_hand_no_table_to_json(capsys, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(dump_records(build_mixed_records()))
+    runs = [["ingest", "--input", str(path), "--format", "json"],
+            ["report", "--input", str(path), "--preset", "alpha05"]]
+    dist, report = (json.loads(run(capsys, *argv)[1]) for argv in runs)
+    tables = [dist, dist["points"], report, report["distribution"], report["pattern"],
+              report["pattern"]["counts"], report["pattern"]["period_bins"], report["plot_data"]]
+    with mock.patch.object(cli.json, "dumps", wraps=json.dumps) as dumps:
+        assert [json.loads(run(capsys, *argv)[1]) for argv in runs] == [dist, report]
+    handed = [call.args[0] for call in dumps.call_args_list]
+    assert handed and not [table for table in tables if table in handed]
 
 
 def test_report_requires_threshold(capsys):
@@ -555,15 +591,23 @@ def test_ingest_year_beyond_64_bits_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("table", ["1,5\n99999999999999999999,1\n",
-                                   "x,y\n1,5000000000\n4000000000,3000000000\n"])
+                                   "x,y\n1,5000000000\n4000000000,3000000000\n",
+                                   "x,y\n2,1\n1,9223372036854775807\n",
+                                   "x,y\n3,1\n1,99999999999999999999\n"])
 def test_ingest_counts_beyond_64_bits_exit_2(capsys, tmp_path, table):
+    # the sum of x*y passes 2^63 on the last line, and the fault names it,
+    # not the row it sorts to
+    lines = table.split()
+    rows = [[int(field) for field in line.split(",")] for line in lines if line != "x,y"]
+    fault = (f"line {len(lines)}: x={rows[-1][0]}, y={rows[-1][1]} take the sum of x*y to "
+             f"{sum(x * y for x, y in rows)}, past 64 bits")
+    with pytest.raises(DataError, match=f"^{re.escape(fault)}$"):
+        load_distribution(table)
     path = tmp_path / "huge.csv"
     path.write_text(table)
     for output_format in ("csv", "json"):
         code, out, err = run(capsys, "ingest", "--input", str(path), "--format", output_format)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("data error: x and y must be whole numbers") and "64 bits" in err
+        assert (code, out, err) == (2, "", f"data error: {fault}\n")
 
 
 @pytest.mark.parametrize("kind", ["auto", "pipe", "distribution"])

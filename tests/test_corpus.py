@@ -263,8 +263,9 @@ def _first_line_kind(text: str) -> str:
                 return "jsonl"
             if "|" in line:
                 return "pipe"
-            squeezed = line.replace(" ", "").lower()
-            if squeezed == "x,y" or re.fullmatch(r"[0-9]+,[0-9]+", squeezed):
+            fields = [field.strip() for field in line.split(",")]  # a table row's field rule
+            if line.replace(" ", "").lower() == "x,y" or (
+                    len(fields) == 2 and all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields)):
                 return "distribution"
             return "unknown"
     return "empty"
@@ -272,12 +273,14 @@ def _first_line_kind(text: str) -> str:
 
 _SNIFF_ALPHABET = st.sampled_from(
     ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ", "\t", "\u3000",
-     "{", "|", ",", "x", "Y", "1", "9", "\u0663", "a"]
+     "{", "|", ",", "x", "Y", "1", "9", "\u0663", "a", "+", "-"]
 )
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(st.lists(_SNIFF_ALPHABET, max_size=14).map("".join))
+@example("+1,5\n2,1\n")
+@example("1,\t5\n2,1\n")
 def test_read_input_sniffs_like_a_full_split(text):
     try:
         kind, _ = corpus._sniff(corpus._line_blocks((text,)))
