@@ -19,23 +19,24 @@ Two record formats are supported:
 
 :func:`parse_records` returns the records as the columns of a
 :class:`Corpus`. Input is read in blocks of 2^18 bytes (or characters,
-of text), each split into lines once, so no read holds a decoded copy of
-its whole input. A pipe block is checked a column at a time, with no
+of text), so no read holds a decoded copy of its whole input. Each block
+is split into lines once, and there each line is stripped and numbered,
+and a blank one dropped. A pipe block is checked a column at a time, with no
 Python call per line; a block that check refuses, and every JSON block,
 is read line by line, which names the first fault in that pass. Names
 leave a read one way: in batches of those a counting method credits. The
 command line tallies them and keeps no name list; the library keeps
-them, under complete counting, as the corpus' ``names``.
-A record file that the command line reads,
-if it can seek, is cut into one byte range per CPU, each of at least
-2^21 bytes (a smaller file is one range). Each range starts after the
-first newline within 2^18 bytes of its cut; a cut with none is dropped,
-so its range joins the one before. A worker forked for each range, the
-first included, sends back the names it credits and its columns; the
-calling process parses no range, and only tallies and joins. A fault in
-any range, an id repeated across ranges, a worker that dies or a fork
-that warns (as Python 3.12+ does in a process with threads) sends the
-file through the one-range read, which names any fault.
+them, under complete counting, as the corpus' ``names``. A record file
+that the command line reads, if it can seek, is cut into one byte range
+per CPU, each of at least 2^21 bytes (a smaller file is one range). Each
+range starts after the first newline within 2^18 bytes of its cut; a cut
+with none is dropped, so its range joins the one before. A worker forked
+for each range, the first included, sends back the names it credits and
+its columns; the calling process parses no range, and only hands on the
+names and joins. A fault in any range, an id repeated across ranges, a
+worker that dies or a fork that warns (as Python 3.12+ does in a process
+with threads) sends the file through the one-range read, which names any
+fault.
 Every record, parsed or built by hand, cleans its names:
 :func:`normalize_author` collapses runs of whitespace and empty name
 slots are dropped, so the same names count as one author either way.
@@ -65,9 +66,8 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress, repeat, starmap
 from json.encoder import encode_basestring as _json_string
-from operator import itemgetter
 from typing import NoReturn
 
 import numpy as np
@@ -298,30 +298,36 @@ _TALLY_NAMES = 1 << 17  # credited names held between tallies: one tally a block
 _FRAME = struct.Struct("<cQ")  # the head of a worker's message: its kind, then its length in bytes
 
 
-def _line_blocks(texts: Iterable[str]) -> Iterator[list[str]]:
-    """The lines of the texts, ``splitlines(keepends=True)``, a list for each text that ends one.
+def _line_blocks(texts: Iterable[str]) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """The numbers and stripped lines that are not blank, a pair for each text that ends a line.
 
-    Each text is split once. Its last line waits for the next text if it
-    has no line end, or ends in a CR that the next may follow with an LF.
-    A line that runs on through texts is held as its pieces and joined
-    once, so a long line costs linear time.
+    Lines are those of ``"".join(texts).splitlines()``, numbered from 1,
+    in a ``range`` if none in the block is blank; a block of blank lines
+    yields nothing, and raw lines are dropped before a block is read. Each
+    text is split once. Its last line waits for the next text if it has no
+    line end, or ends in a CR that the next may follow with an LF. A line
+    that runs on through texts is held as its pieces and joined once, so a
+    long line costs linear time.
     """
     held: list[str] = []  # the pieces of the line that waits
-    for text in filter(None, texts):
+    count = 0  # the lines of the blocks before
+    for text in chain(filter(None, texts), [""]):  # "" ends the line that waits
         lines = text.splitlines(True)
-        if held and held[-1].endswith("\r") and lines[0] != "\n":  # no LF follows: the CR ends a line
-            lines.insert(0, "".join(held))
+        if held and (not text or held[-1].endswith("\r") and lines[0] != "\n"):
+            lines.insert(0, "".join(held))  # the input ends, or no LF follows the held CR
         elif len(lines) == 1 and lines[0].splitlines() == lines:  # no line end: the line runs on
             held.append(text)
             continue
         elif held:
             lines[0] = "".join(held) + lines[0]
-        last = lines[-1]
+        last = lines[-1] if text else ""  # at the end no line waits
         held = [lines.pop()] if last.endswith("\r") or last.splitlines() == [last] else []
+        numbers, count = range(count + 1, count + len(lines) + 1), count + len(lines)
+        lines = list(map(str.strip, lines))
+        if "" in lines:  # blank lines hold nothing
+            numbers, lines = list(compress(numbers, lines)), list(filter(None, lines))
         if lines:
-            yield lines
-    if held:
-        yield ["".join(held)]
+            yield numbers, lines
 
 
 def _file_texts(file, end: int | None = None) -> Iterator[str]:
@@ -388,24 +394,23 @@ def _parse_jsonl_line(line: str) -> tuple:
     return obj["id"], obj["year"], authors
 
 
-def _records(blocks: Iterable[list[str]], fmt: str, take,
+def _records(blocks: Iterable[tuple], fmt: str, take,
              method: CountingMethod | None) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The ids, years and author counts of blocks of lines, each read in the pass that names its fault.
 
-    A pipe block goes through the column check; any other block, or one
-    it refuses, through the per-line reader. This is the one way names
-    leave a read: the cleaned names that ``method`` credits (none if it
-    is None), in file order, go to ``take`` ``_TALLY_NAMES`` at a time,
-    and the rest once after the last block; the columns keep none. No
-    batch is empty, and none is handed after a fault.
+    The blocks are those of :func:`_line_blocks`, whose line numbers a
+    fault names. A pipe block goes through the column check; any other
+    block, or one it refuses, through the per-line reader. This is the one
+    way names leave a read: the cleaned names that ``method`` credits
+    (none if it is None), in file order, go to ``take`` ``_TALLY_NAMES``
+    at a time, and the rest once after the last block; the columns keep
+    none. No batch is empty, and none is handed after a fault.
     """
     seen: dict[str, int] = {}  # id -> line, in record order: the ids column
     years, sizes, names = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
-    lineno = 0  # the lines of the blocks before
-    for lines in blocks:
-        block_years, counts, slots = (fmt == "pipe" and _pipe_block(lines, lineno, seen)
-                                      or _line_block(lines, lineno, fmt, seen))
-        lineno += len(lines)
+    for numbers, lines in blocks:
+        block_years, counts, slots = (fmt == "pipe" and _pipe_block(lines, numbers, seen)
+                                      or _line_block(lines, numbers, fmt, seen))
         years.append(block_years)
         sizes.append(counts)
         if method is not None:
@@ -419,20 +424,16 @@ def _records(blocks: Iterable[list[str]], fmt: str, take,
     return list(seen), np.concatenate(years), np.concatenate(sizes)
 
 
-def _pipe_block(lines: list[str], lineno: int, seen: dict[str, int]) -> tuple | None:
+def _pipe_block(lines: list[str], numbers: Sequence[int], seen: dict[str, int]) -> tuple | None:
     """The years, author counts and cleaned slots of a block's pipe lines, or None at a fault.
 
-    The lines are checked a column at a time, with no Python call per
-    line, and each id goes into ``seen`` with its line number, counted on
-    from ``lineno``. None leaves ``seen`` as it was.
+    The lines, as :func:`_line_blocks` yields them, are checked a column
+    at a time, with no Python call per line, and each id goes into
+    ``seen`` with its line's number. None leaves ``seen`` as it was.
     """
-    stripped = list(map(str.strip, lines))
-    numbers = range(lineno + 1, lineno + len(lines) + 1)
-    if "" in stripped:  # blank lines hold no record
-        numbers, stripped = compress(numbers, stripped), list(filter(None, stripped))
-    if set(map(str.count, stripped, repeat("|"))) != {2}:
+    if set(map(str.count, lines, repeat("|"))) != {2}:
         return None
-    fields = "|".join(stripped).split("|")
+    fields = "|".join(lines).split("|")
     ids = list(map(str.strip, fields[0::3]))
     digits = "".join("".join(fields[1::3]).split())  # the years, their whitespace taken out
     try:
@@ -454,18 +455,16 @@ def _pipe_block(lines: list[str], lineno: int, seen: dict[str, int]) -> tuple | 
     return years, counts, slots
 
 
-def _line_block(lines: list[str], lineno: int, fmt: str, seen: dict[str, int]) -> tuple:
+def _line_block(lines: list[str], numbers: Sequence[int], fmt: str, seen: dict[str, int]) -> tuple:
     """The years, author counts and cleaned names of a block's lines, parsed one at a time.
 
-    Lines are numbered on from ``lineno`` and each id goes into ``seen``;
-    the first fault raises :class:`DataError` naming its line, and a
-    repeated id the line it was first seen on, in this block or before.
+    Each id goes into ``seen`` with its line's number; the first fault
+    raises :class:`DataError` naming its line, and a repeated id the line
+    it was first seen on, in this block or before.
     """
     parse_line = _parse_pipe_line if fmt == "pipe" else _parse_jsonl_line
     years, sizes, names = array("q"), array("q"), []
-    for lineno, raw in enumerate(lines, lineno + 1):
-        if not (line := raw.strip()):
-            continue
+    for lineno, line in zip(numbers, lines):
         try:
             rid, year, authors = parse_line(line)
             cleaned = _check_record(rid, year, authors)
@@ -491,18 +490,15 @@ def parse_records(data: bytes | str, fmt: str = "pipe") -> Corpus:
     return read_input(data, fmt)
 
 
-def _sniff(blocks: Iterator[list[str]]) -> tuple[str, Iterator[list[str]]]:
+def _sniff(blocks: Iterator[tuple]) -> tuple[str, Iterator[tuple]]:
     """The kind of input that the first line that is not blank starts, and every block of lines.
 
-    The blocks are read only up to the one that holds that line.
+    The blocks, those of :func:`_line_blocks`, are read only up to the
+    first, which holds that line.
     """
-    read = []
-    for lines in blocks:
-        read.append(lines)
-        if line := next(filter(None, map(str.strip, lines)), ""):
-            break
-    else:
+    if (first := next(blocks, None)) is None:
         raise DataError("input file is empty; pass --input-kind if this is intended")
+    line = first[1][0]
     kind = "jsonl" if line.startswith("{") else "pipe" if "|" in line else "distribution"
     if kind == "distribution" and not _is_header(line):
         try:  # a row, as _table_of reads one: two fields that _integer takes
@@ -510,7 +506,7 @@ def _sniff(blocks: Iterator[list[str]]) -> tuple[str, Iterator[list[str]]]:
         except ValueError:
             raise DataError(f"cannot tell what kind of input {line[:40]!r} starts; "
                             "pass --input-kind") from None
-    return kind, chain(read, blocks)
+    return kind, chain([first], blocks)
 
 
 def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDistribution:
@@ -521,8 +517,9 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
     lines, a ``|`` marks pipe records, and ``x,y`` or two integers
     start a table; anything else raises :class:`DataError`. Bytes (UTF-8,
     with or without a BOM) and text are read a block at a time, as a file is;
-    a ``bytearray`` or ``memoryview`` is first copied whole, as ``io.BytesIO``
-    shares only ``bytes``. The records' ``names`` are those that complete
+    any bytes-like value but ``bytes`` is first copied whole by ``bytes()``,
+    as ``io.BytesIO`` would copy it, and it refuses a view that is not
+    C-contiguous. The records' ``names`` are those that complete
     counting credits as the read hands them on: every cleaned name, in order.
     """
     if kind not in ("auto", "pipe", "jsonl", "distribution"):
@@ -530,7 +527,7 @@ def read_input(data: bytes | str, kind: str = "auto") -> Corpus | ProductivityDi
                         "(expected 'auto', 'pipe', 'jsonl' or 'distribution')")
     if not isinstance(data, (str, bytes, bytearray, memoryview)):  # io.BytesIO(None) reads as empty
         raise TypeError(f"input must be bytes or str, not {type(data).__name__}")
-    texts = (_file_texts(io.BytesIO(data)) if not isinstance(data, str)  # BytesIO shares bytes
+    texts = (_file_texts(io.BytesIO(bytes(data))) if not isinstance(data, str)  # bytes(b) is b
              else (data[i : i + _BLOCK_BYTES] for i in range(0, len(data), _BLOCK_BYTES)))
     names: list[str] = []
     loaded = _read_texts(texts, kind, names.extend, CountingMethod.COMPLETE)
@@ -565,27 +562,27 @@ def _read_file(path, kind: str, method: CountingMethod | None = None):
     records, or the file is one range, this process reads the file as one
     range, which names any fault as ``read_input`` does.
     """
+    tally = Counter()
     with open(path, "rb") as file:
         kind, starts = _ranges(file, kind)
-        if len(starts) > 1 and (read := _read_ranges(path, kind, method, starts)) is not None:
-            return read
-        tally = Counter()
-        loaded = _read_texts(_file_texts(file), kind, tally.update, method)
+        if len(starts) == 1 or (loaded := _read_ranges(path, kind, tally.update, method, starts)) is None:
+            tally.clear()  # the one-range read tallies afresh
+            loaded = _read_texts(_file_texts(file), kind, tally.update, method)
         return loaded, None if method is None else tally
 
 
-def _read_ranges(path, kind: str, method: CountingMethod | None,
-                 starts: list[int]) -> tuple[Corpus, Counter | None] | None:
-    """The records of a file of ``kind``, and their tally, read by a worker per range; or None.
+def _read_ranges(path, kind: str, take, method: CountingMethod | None,
+                 starts: list[int]) -> Corpus | None:
+    """The records of a file of ``kind``, read by a worker per range; or None.
 
     A worker (:func:`_work`) is forked for each range that starts at
-    ``starts``; this process parses no range, but tallies the names each
-    worker sends and joins their columns in file order. None if a worker
-    or its pipe cannot be made, a fork warns, a range has a fault, a
-    worker dies or an id repeats across ranges. Every worker is killed
-    and reaped before this returns or raises.
+    ``starts``; this process parses no range, but hands each batch of
+    names a worker sends to ``take``, as :func:`_records` does, and joins
+    their columns in file order. None if a worker or its pipe cannot be
+    made, a fork warns, a range has a fault, a worker dies or an id
+    repeats across ranges. Every worker is killed and reaped before this
+    returns or raises.
     """
-    tally = None if method is None else Counter()
     workers: list[_Worker] = []
     try:
         try:
@@ -597,7 +594,7 @@ def _read_ranges(path, kind: str, method: CountingMethod | None,
             return None
         while waiting := {worker.stream: worker for worker in workers if not worker.done}:
             for stream in select.select(list(waiting), [], [])[0]:
-                waiting[stream].receive(tally)
+                waiting[stream].receive(take)
         if any(worker.columns is None for worker in workers):
             return None
         ids, years, sizes = zip(*(worker.columns for worker in workers))
@@ -606,7 +603,7 @@ def _read_ranges(path, kind: str, method: CountingMethod | None,
             return None
         del later  # before the ids are joined, for a lower peak
         ids = list(chain.from_iterable(ids))
-        return Corpus._of_checked(ids, np.concatenate(years), np.concatenate(sizes)), tally
+        return Corpus._of_checked(ids, np.concatenate(years), np.concatenate(sizes))
     finally:
         for worker in workers:
             worker.stop()
@@ -701,8 +698,8 @@ class _Worker:
         self.columns = None  # the ids, years and author counts, once sent
         self.done = False  # whether the worker sent its columns or closed its pipe
 
-    def receive(self, tally: Counter | None) -> None:
-        """Read one message: tally a batch of names, or keep the columns and be done.
+    def receive(self, take) -> None:
+        """Read one message: hand a batch of names to ``take``, or keep the columns and be done.
 
         A pipe closed before the columns came leaves ``columns`` None:
         the range has a fault.
@@ -711,7 +708,7 @@ class _Worker:
         tag, size = _FRAME.unpack(head) if len(head) == _FRAME.size else (b"", 0)
         payload = self.stream.read(size)
         if tag == b"N" and len(payload) == size:
-            tally.update(payload.decode("utf-8", "surrogatepass").split("\n"))
+            take(payload.decode("utf-8", "surrogatepass").split("\n"))
         else:
             self.done = True
             if tag == b"C" and len(payload) == size:
@@ -785,13 +782,12 @@ def load_distribution(data: bytes | str) -> ProductivityDistribution:
     return read_input(data, "distribution")
 
 
-def _table_of(blocks: Iterable[list[str]]) -> ProductivityDistribution:
-    """The distribution table of the blocks' lines."""
+def _table_of(blocks: Iterable[tuple]) -> ProductivityDistribution:
+    """The distribution table of the lines of :func:`_line_blocks`."""
     rows: list[tuple[int, int]] = []
     seen_x: dict[int, int] = {}
     total = 0  # the sum of x*y so far
-    numbered = enumerate(map(str.strip, chain.from_iterable(blocks)), start=1)
-    for i, (lineno, line) in enumerate(filter(itemgetter(1), numbered)):  # lines that are not blank
+    for i, (lineno, line) in enumerate(chain.from_iterable(starmap(zip, blocks))):
         if i == 0 and _is_header(line):
             continue
         parts = line.split(",")

@@ -61,6 +61,16 @@ def test_parse_pipe_skips_blank_lines():
     assert [r.id for r in records] == ["P1", "P2"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\nP1|2005|A\n \r\nP1|2006|B\n", "line 4: duplicate record id 'P1' (first seen on line 2)"),
+    ('\n{"id":"P1","year":2005,"authors":["A"]}\n\n{}\n', "line 4: missing keys"),
+    ("\u3000\nx,y\n\n1,2\n\u2028 1,3\n", "line 6: duplicate x=1 (first seen on line 4)"),
+])
+def test_blank_lines_count_in_the_line_a_fault_names(text, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_input(text)
+
+
 def test_parse_empty_input_gives_empty_list():
     assert parse_records("") == []
     assert parse_records(b"") == []
@@ -222,6 +232,38 @@ def test_read_input_takes_any_bytes_like_input_and_no_other_type():
             parse_records(bad)
 
 
+def _strided(data: bytes) -> memoryview:
+    """A view of every second byte of a buffer, whose bytes are ``data``."""
+    padded = bytearray(2 * len(data))
+    padded[::2] = data
+    return memoryview(padded)[::2]
+
+
+def _transposed(data: bytes) -> memoryview:
+    """A 2-D view of a transposed numpy array whose bytes, in C order, are ``data``."""
+    return memoryview(np.ascontiguousarray(np.frombuffer(data, np.uint8).reshape(2, -1).T).T)
+
+
+def _read_outcome(load, data):
+    """What a load returns, or the text of the DataError it raises."""
+    try:
+        return load(data)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("view_of", [_strided, _transposed])
+def test_a_view_that_is_not_contiguous_reads_as_its_bytes(view_of):
+    """io.BytesIO refuses such a view with a BufferError: it is read as ``bytes(view)``."""
+    for data in [b"P1|2000|A\nP2|2001|B; C\n\n", b"P1|2000|A\nP1|2001|B\n",
+                 b'{"authors":["A"],"id":"J1","year":2001}\n', b"x,y\n1,20\n2,30\n",
+                 b"1,2\n\xff\n"]:
+        view = view_of(data)
+        assert not view.c_contiguous and bytes(view) == data
+        for load in (read_input, parse_records, load_distribution):
+            assert _read_outcome(load, view) == _read_outcome(load, data)
+
+
 def test_a_bytes_read_holds_no_whole_decoded_text(monkeypatch):
     """Bytes are decoded a block at a time: their read peaks no higher than that of their text.
 
@@ -281,12 +323,16 @@ _SNIFF_ALPHABET = st.sampled_from(
 @given(st.lists(_SNIFF_ALPHABET, max_size=14).map("".join))
 @example("+1,5\n2,1\n")
 @example("1,\t5\n2,1\n")
+@example("\u3000\n\n|")  # blocks of blank lines alone come first
+@example("\r\n\r\n{")  # a CR waits for its LF
 def test_read_input_sniffs_like_a_full_split(text):
-    try:
-        kind, _ = corpus._sniff(corpus._line_blocks((text,)))
-    except DataError as exc:
-        kind = "empty" if "empty" in str(exc) else "unknown"
-    assert kind == _first_line_kind(text)
+    """The text is sniffed whole, and fed one character a block."""
+    for texts in ((text,), text):
+        try:
+            kind, _ = corpus._sniff(corpus._line_blocks(texts))
+        except DataError as exc:
+            kind = "empty" if "empty" in str(exc) else "unknown"
+        assert kind == _first_line_kind(text)
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +638,16 @@ def test_parse_property_matches_hand_built_records(rows, fmt, tally_names, block
 @example(["\r", "a"])  # a lone CR ends a line of its own
 @example(["a\r", "\nb"])  # a CR LF cut in two is one line end
 def test_line_blocks_keep_every_line_of_the_text(pieces):
-    """No block ends inside a line or between the CR and LF of one line end."""
+    """No block ends inside a line or between the CR and LF of one line end.
+
+    Each line that is not blank comes out stripped, with its number in
+    the whole text; no block is empty.
+    """
     blocks = list(corpus._line_blocks(pieces))
-    assert [] not in blocks
-    assert [line for lines in blocks for line in lines] == "".join(pieces).splitlines(True)
+    assert all(lines and len(numbers) == len(lines) for numbers, lines in blocks)
+    numbered = enumerate(map(str.strip, "".join(pieces).splitlines()), 1)
+    assert [pair for numbers, lines in blocks for pair in zip(numbers, lines)] == [
+        (number, line) for number, line in numbered if line]
 
 
 def test_a_line_of_many_pieces_is_chunked_in_linear_time():
@@ -605,7 +657,7 @@ def test_a_line_of_many_pieces_is_chunked_in_linear_time():
     start = time.perf_counter()
     blocks = list(corpus._line_blocks(pieces))
     elapsed = time.perf_counter() - start
-    assert blocks == [[text]]
+    assert [(list(numbers), lines) for numbers, lines in blocks] == [([1], [text.strip()])]
     assert elapsed < 1.0
 
 
