@@ -32,11 +32,11 @@ per CPU, each of at least 2^21 bytes (a smaller file is one range). Each
 range starts after the first newline within 2^18 bytes of its cut; a cut
 with none is dropped, so its range joins the one before. A worker forked
 for each range, the first included, sends back the names it credits and
-its columns; the calling process parses no range, and only hands on the
-names and joins. A fault in any range, an id repeated across ranges, a
-worker that dies or a fork that warns (as Python 3.12+ does in a process
-with threads) sends the file through the one-range read, which names any
-fault.
+its columns, a pickle each; the calling process parses no range, and only
+hands on the names and joins. A fault in any range, an id repeated across
+ranges, a worker that dies or a fork that warns (as Python 3.12+ does in a
+process with threads) sends the file through the one-range read, which
+names any fault.
 Every record, parsed or built by hand, cleans its names:
 :func:`normalize_author` collapses runs of whitespace and empty name
 slots are dropped, so the same names count as one author either way.
@@ -57,7 +57,6 @@ import os
 import pickle
 import select
 import signal
-import struct
 import warnings
 from array import array
 from collections import Counter
@@ -295,7 +294,6 @@ class ProductivityDistribution:
 _BLOCK_BYTES = 1 << 18  # the bytes of a file, or characters of text, read at a time
 _SPLIT_BYTES = 1 << 21  # the fewest bytes in each range of a record file read by several processes
 _TALLY_NAMES = 1 << 17  # credited names held between tallies: one tally a block ran 10% slower
-_FRAME = struct.Struct("<cQ")  # the head of a worker's message: its kind, then its length in bytes
 
 
 def _line_blocks(texts: Iterable[str]) -> Iterator[tuple[Sequence[int], list[str]]]:
@@ -646,30 +644,25 @@ def _work(path, kind: str, method, start: int, end: int | None, out) -> NoReturn
     """In a forked worker: read bytes ``start`` to ``end`` of ``path`` and send them to ``out``.
 
     Every range of a split file is read here, the first included. Each
-    batch of credited names that :func:`_records` hands over goes as a
-    ``b"N"`` message, the names joined by newlines, which no cleaned name
-    holds. Then the ids, years and author counts it returns go as one
-    pickled ``b"C"`` message, unless the range has a fault, which the
-    parent names. The worker leaves through ``os._exit``, never into its
-    caller's stack or the stdio buffers it shares with the parent.
+    message is one pickle, flushed as it is sent: a batch of credited names
+    from :func:`_records` as one ``str``, joined by newlines, which no
+    cleaned name holds; then the ids, years and author counts it returns,
+    unless the range has a fault, which the parent names. The worker leaves
+    through ``os._exit``, never into its caller's stack or the stdio
+    buffers it shares with the parent.
     """
+    def send(message) -> None:
+        pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+        out.flush()  # a pickle of 64 KB+ writes STOP apart: unflushed, the parent waits on the next batch
+
     gc.disable()  # a collection writes to every object, so copies the pages shared with the parent
     try:
         with open(path, "rb") as file, suppress(DataError):  # a range with a fault sends no columns
             file.seek(start)
-            blocks = _line_blocks(_file_texts(file, end))
-            columns = _records(blocks, kind, lambda names: _send(
-                out, b"N", "\n".join(names).encode("utf-8", "surrogatepass")), method)
-            _send(out, b"C", pickle.dumps(columns, pickle.HIGHEST_PROTOCOL))
-        out.flush()
+            send(_records(_line_blocks(_file_texts(file, end)), kind,
+                          lambda names: send("\n".join(names)), method))
     finally:
         os._exit(0)
-
-
-def _send(out, tag: bytes, payload: bytes) -> None:
-    """Write one message of a worker: its ``_FRAME`` head, then its payload."""
-    out.write(_FRAME.pack(tag, len(payload)))
-    out.write(payload)
 
 
 class _Worker:
@@ -701,18 +694,17 @@ class _Worker:
     def receive(self, take) -> None:
         """Read one message: hand a batch of names to ``take``, or keep the columns and be done.
 
-        A pipe closed before the columns came leaves ``columns`` None:
-        the range has a fault.
+        A pipe closed before the columns came, or in a message, leaves
+        ``columns`` None: the range has a fault.
         """
-        head = self.stream.read(_FRAME.size)
-        tag, size = _FRAME.unpack(head) if len(head) == _FRAME.size else (b"", 0)
-        payload = self.stream.read(size)
-        if tag == b"N" and len(payload) == size:
-            take(payload.decode("utf-8", "surrogatepass").split("\n"))
+        try:
+            message = pickle.load(self.stream)
+        except (EOFError, pickle.UnpicklingError):
+            message = None
+        if isinstance(message, str):
+            take(message.split("\n"))
         else:
-            self.done = True
-            if tag == b"C" and len(payload) == size:
-                self.columns = pickle.loads(payload)
+            self.columns, self.done = message, True
 
     def stop(self) -> None:
         self.stream.close()

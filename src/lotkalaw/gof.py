@@ -129,12 +129,12 @@ def run_ks(
     coefficient: float,
     dense_expected: bool = False,
 ) -> KSResult:
-    """Full test: report, both statistics, threshold, verdicts."""
+    """Full test: threshold, report, both statistics, verdicts."""
+    total = dist.total_authors
+    crit = critical_value(total, coefficient)  # first: a bad coefficient costs no table
     table = ks_report(dist, n, c, dense_expected=dense_expected)
     d_pw = float(table.pointwise_diff.max())
     d_cum = float(np.abs(table.cumulative_diff).max())
-    total = dist.total_authors
-    crit = critical_value(total, coefficient)
     return KSResult(
         d_max_pointwise=d_pw,
         d_max_cumulative=d_cum,

@@ -109,17 +109,16 @@ def fit_exponent_lsq(
 def _power_sum(n: float, limit: int | None) -> float:
     """The sum of x**-n for x = 1..limit, or zeta(n) for None: the first terms exactly, then T.
 
-    T(p), the Euler-Maclaurin sum from x = p on, is ``T(20)`` for zeta,
-    and a limit's terms past 10^6 are ``T(10**6 + 1) - T(limit + 1)``,
-    the leading term differenced with ``expm1``: at n near 1 each T is
-    some 1e5 times the difference.
+    T(p), the Euler-Maclaurin sum from x = p on, gives the terms from p,
+    the first not added exactly, as ``T(p) - T(q)``: q is ``limit + 1``,
+    or infinity for zeta, where every part of T is 0.0, so zeta's tail is
+    ``T(20)`` to the last bit. The leading term is differenced with
+    ``expm1``: at n near 1 each T is some 1e5 times the difference.
     """
     head = EULER_MACLAURIN_CUTOFF - 1 if limit is None else min(limit, 10**6)  # terms added exactly
     total = float((np.arange(1, head + 1, dtype=np.float64) ** -n).sum())
     p = float(head + 1)
-    if limit is None:
-        return total + (p ** (1.0 - n) / (n - 1.0) + 0.5 * p**-n + n * p ** (-n - 1.0) / 12.0)
-    q = float(limit + 1)  # for a limit up to 10^6, q == p and the tail adds exactly 0.0
+    q = inf if limit is None else float(limit + 1)  # for a limit up to 10^6, q == p: the tail adds 0.0
     return total + (-(p ** (1.0 - n)) * expm1((1.0 - n) * log(q / p)) / (n - 1.0)
                     + 0.5 * (p**-n - q**-n) + n * (p ** (-n - 1.0) - q ** (-n - 1.0)) / 12.0)
 

@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -980,35 +981,95 @@ def test_the_parent_parses_no_range_of_a_split_file(monkeypatch, tmp_path, fmt):
     assert not spy.called
 
 
-def test_a_worker_that_dies_leaves_the_file_to_be_read_as_one_range(monkeypatch, tmp_path):
-    """A worker killed mid-read, say for memory, costs a one-range read, not the records."""
+@pytest.mark.parametrize("cut", [1, 2, 11, 12, 200, 10_000, None])
+def test_a_worker_that_dies_leaves_the_file_to_be_read_as_one_range(monkeypatch, tmp_path, cut):
+    """A worker killed mid-read, say for memory, costs a one-range read, not the records.
+
+    The second worker dies once ``cut`` bytes of its pipe are written, in
+    a pickle's head (11 bytes at protocol 5), its body or between two; or,
+    for None, once its first message is whole, as it flushes it.
+    """
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
     monkeypatch.setattr(corpus, "_TALLY_NAMES", 8)
     path = tmp_path / "records.psv"
-    path.write_text("".join(f"P{i}|2000|Author {i}; Author {i % 7}\n" for i in range(300)),
+    path.write_text("".join(f"P{i}|2000|Author {i}; Author {i % 7}\n" for i in range(1000)),
                     encoding="utf-8")
     expected = _file_outcome(path, "pipe", CountingMethod.COMPLETE)
     monkeypatch.setattr(corpus, "_SPLIT_BYTES", 1 << 10)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    work, send = corpus._work, corpus._send
+    work = corpus._work
 
-    def send_then_die(*message):
-        send(*message)
-        message[0].flush()
-        os.kill(os.getpid(), signal.SIGKILL)
+    class Dying:
+        """A worker's pipe that kills the worker once ``cut`` bytes went through, or on a flush."""
+
+        def __init__(self, out):
+            self.out, self.sent = out, 0
+
+        def write(self, data):
+            data = bytes(data)[:None if cut is None else cut - self.sent]
+            self.sent += self.out.write(data)
+            if self.sent == cut:
+                self.die()
+            return len(data)
+
+        def flush(self):
+            if cut is None:
+                self.die()
+            self.out.flush()
+
+        def die(self):
+            self.out.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
 
     def work_then_die(path, kind, method, start, end, out):
-        if start:  # in the second worker only: it sends one batch of names, then is killed
-            corpus._send = send_then_die
-        work(path, kind, method, start, end, out)
+        work(path, kind, method, start, end, Dying(out) if start else out)  # the second worker only
 
     monkeypatch.setattr(corpus, "_work", work_then_die)
     forked = mock.Mock(wraps=corpus._Worker)
     monkeypatch.setattr(corpus, "_Worker", forked)
+    one_range = mock.Mock(wraps=corpus._records)  # called in this process only by the one-range read
+    monkeypatch.setattr(corpus, "_records", one_range)
     assert _file_outcome(path, "pipe", CountingMethod.COMPLETE) == expected
-    assert forked.call_count == 2
+    assert forked.call_count == 2 and one_range.call_count == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_batch_reaches_the_parent_whole_before_the_next_is_parsed(monkeypatch, tmp_path):
+    """Each message is flushed as it is sent, so no pickle load waits on the worker's next block.
+
+    A batch pickled to 64 KB or more has its 1-byte STOP written apart
+    from it; held in the worker's buffer, it would reach the parent only
+    once the next batch was parsed. Here the worker waits after its first
+    batch until it is killed.
+    """
+    monkeypatch.setattr(corpus, "_TALLY_NAMES", 1 << 12)
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1 << 14)
+    names = [f"Author number {i}" for i in range(12_000)]
+    path = tmp_path / "records.psv"
+    path.write_text("".join(f"P{i}|2000|{name}\n" for i, name in enumerate(names)), encoding="utf-8")
+    release, held = os.pipe()
+    records = corpus._records
+
+    def records_that_wait(blocks, kind, take, method):
+        return records(blocks, kind, lambda batch: (take(batch), os.read(release, 1)), method)
+
+    monkeypatch.setattr(corpus, "_records", records_that_wait)
+    worker = corpus._Worker(path, "pipe", CountingMethod.COMPLETE, 0, None)
+    batches = []
+    reader = threading.Thread(target=worker.receive, args=(batches.append,), daemon=True)
+    try:
+        reader.start()
+        reader.join(10)
+        assert not reader.is_alive(), "the first batch did not reach the parent whole"
+        assert len(batches) == 1 and len(batches[0]) >= 1 << 12
+        assert batches[0] == names[:len(batches[0])] and not worker.done
+    finally:  # the worker dies first: closing a stream that a thread reads would wait on it
+        os.kill(worker.pid, signal.SIGKILL)
+        reader.join()
+        worker.stop()
+        os.close(release)
+        os.close(held)
 
 
 def test_a_fork_that_warns_leaves_the_file_to_be_read_as_one_range(monkeypatch, tmp_path, capfd):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,6 +197,16 @@ def test_critical_value_errors():
     with pytest.raises(DataError, match="^total_authors must be >= 1, got 0$"):
         critical_value(0, 1.36)
     assert critical_value(np.int64(6), np.float64(1.36)) == 1.36 / 6**0.5
+
+
+@pytest.mark.parametrize("coefficient", [True, float("nan"), float("inf"), 0])
+def test_run_ks_refuses_a_bad_coefficient_before_it_builds_the_table(monkeypatch, coefficient):
+    spy = mock.Mock(wraps=gof.ks_report)
+    monkeypatch.setattr(gof, "ks_report", spy)
+    with pytest.raises(DataError, match="coefficient must be"):
+        run_ks(ProductivityDistribution(((1, 10), (10**6, 1))), 2.0, 0.6, coefficient,
+               dense_expected=True)
+    assert not spy.called
 
 
 def test_presets():

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
@@ -176,6 +176,18 @@ def test_constant_matches_scipy_zeta_grid():
     for n in np.arange(1.5, 5.01, 0.1):
         n = float(n)
         assert compute_constant(n) == pytest.approx(1.0 / scipy_zeta(n), abs=1e-8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(min_value=1.0 + 1e-6, max_value=300.0, exclude_min=True))
+@example(1.000002)
+@example(2.54)
+@example(300.0)
+def test_constant_is_the_zeta_formula_to_the_last_bit(n):
+    """1/zeta(n): 19 terms added exactly, then the Euler-Maclaurin tail from x = 20, bit for bit."""
+    head = float((np.arange(1, 20, dtype=np.float64) ** -n).sum())
+    tail = 20.0 ** (1.0 - n) / (n - 1.0) + 0.5 * 20.0**-n + n * 20.0 ** (-n - 1.0) / 12.0
+    assert compute_constant(n) == 1.0 / (head + tail)
 
 
 def test_constant_sum_route_matches_within_tail_bound():
